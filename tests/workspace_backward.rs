@@ -398,3 +398,277 @@ fn max_pool_backward_after_eval_forward_panics() {
     let _ = pool.forward(&x, Mode::Eval); // invalidates the tape
     let _ = pool.backward(&Tensor::ones(&[1, 1, 2, 2]));
 }
+
+/// FNV-1a over the bit patterns of `values`, folded into `h`.
+fn fold_bits(h: &mut u64, values: &[f32]) {
+    for &v in values {
+        *h ^= v.to_bits() as u64;
+        *h = h.wrapping_mul(0x100000001b3);
+    }
+}
+
+/// Digests of one layer's train step and eval pass: `[train forward
+/// output, input gradient, parameter gradients, eval forward output]`.
+/// `ws = None` drives the provided `forward`/`backward`; `Some` drives
+/// `forward_ws`/`backward_ws` on the given (possibly recycled) pool.
+fn layer_step_digests(layer: &mut dyn Layer, x: &Tensor, ws: Option<&mut Workspace>) -> [u64; 4] {
+    let mut d = [0xcbf29ce484222325u64; 4];
+    let grad_of = |y: &Tensor| {
+        let g: Vec<f32> = (0..y.len()).map(|i| ((i as f32) * 0.61).cos()).collect();
+        Tensor::from_vec(g, y.dims()).unwrap()
+    };
+    let (y, gx, e) = match ws {
+        None => {
+            let y = layer.forward(x, Mode::Train);
+            let gx = layer.backward(&grad_of(&y));
+            (y, gx, layer.forward(x, Mode::Eval))
+        }
+        Some(ws) => {
+            let y = layer.forward_ws(x, Mode::Train, ws);
+            let gx = layer.backward_ws(&grad_of(&y), ws);
+            let e = layer.forward_ws(x, Mode::Eval, ws);
+            let out = (y.clone(), gx.clone(), e.clone());
+            ws.recycle(y);
+            ws.recycle(gx);
+            ws.recycle(e);
+            out
+        }
+    };
+    fold_bits(&mut d[0], y.as_slice());
+    fold_bits(&mut d[1], gx.as_slice());
+    layer.visit_params(&mut |p| fold_bits(&mut d[2], p.grad.as_slice()));
+    fold_bits(&mut d[3], e.as_slice());
+    d
+}
+
+/// Train- and eval-mode outputs plus input and parameter gradients of the
+/// normalization layers and the spatial transformer, pinned to the bits
+/// of the build where these layers had only an allocating body. Both the
+/// provided `forward`/`backward` and the workspace path (fresh, then
+/// recycled pool) must reproduce them.
+#[test]
+fn norm_and_stn_layers_match_allocating_era_goldens() {
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    let x2 = Tensor::randn(&[5, 6], 0.5, 1.5, &mut rng);
+    let x4 = Tensor::randn(&[2, 4, 3, 3], -1.0, 1.5, &mut rng);
+    let img = Tensor::randn(&[2, 1, 8, 8], 0.5, 0.3, &mut rng);
+    let mut stn = models::SpatialTransformer::new(1, 8, &mut rng);
+    // Nudge the affine head off identity so sampling is non-trivial.
+    let total = {
+        let mut n = 0;
+        stn.visit_params(&mut |_| n += 1);
+        n
+    };
+    let mut idx = 0;
+    stn.visit_params(&mut |p| {
+        if idx == total - 1 {
+            p.value = Tensor::from_slice(&[0.9, 0.05, 0.02, -0.03, 0.95, -0.01]);
+        }
+        idx += 1;
+    });
+    type Case = (&'static str, Box<dyn Layer>, Tensor, [u64; 4]);
+    let cases: Vec<Case> = vec![
+        (
+            "batch_norm rank-2",
+            Box::new(BatchNorm::new(6)),
+            x2.clone(),
+            [
+                0x56a623ecbc8873cd,
+                0x64c52e8cb63e2efd,
+                0x15fbf4ca56dbba3f,
+                0xa6209c9758673243,
+            ],
+        ),
+        (
+            "layer_norm rank-2",
+            Box::new(LayerNorm::new(6)),
+            x2.clone(),
+            [
+                0x0adcfd1f51d24e10,
+                0x16ba6c8675b690db,
+                0xb299e31d2f00d6ee,
+                0x0adcfd1f51d24e10,
+            ],
+        ),
+        (
+            "instance_norm rank-2",
+            Box::new(InstanceNorm::new(6)),
+            x2.clone(),
+            [
+                0x0adcfd1f51d24e10,
+                0x16ba6c8675b690db,
+                0xb299e31d2f00d6ee,
+                0x0adcfd1f51d24e10,
+            ],
+        ),
+        (
+            "group_norm rank-2",
+            Box::new(GroupNorm::new(6, 3)),
+            x2,
+            [
+                0x0d7e41262756e90c,
+                0x29f84db08e23b6a0,
+                0x13f93c40075c0da8,
+                0x0d7e41262756e90c,
+            ],
+        ),
+        (
+            "batch_norm rank-4",
+            Box::new(BatchNorm::new(4)),
+            x4.clone(),
+            [
+                0x1352a4d88f5d5343,
+                0xbafcd2b14fe85e67,
+                0x19a711c928688038,
+                0x19b421e9fed101b5,
+            ],
+        ),
+        (
+            "layer_norm rank-4",
+            Box::new(LayerNorm::new(4)),
+            x4.clone(),
+            [
+                0x1c356cc3306d25af,
+                0x84f6dd12c3f10934,
+                0xd925f04c63478ab5,
+                0x1c356cc3306d25af,
+            ],
+        ),
+        (
+            "instance_norm rank-4",
+            Box::new(InstanceNorm::new(4)),
+            x4.clone(),
+            [
+                0xedd7f7c8aab5b2b8,
+                0x86698306e1287ac3,
+                0xd3df5fa1e37be071,
+                0xedd7f7c8aab5b2b8,
+            ],
+        ),
+        (
+            "group_norm rank-4",
+            Box::new(GroupNorm::new(4, 2)),
+            x4,
+            [
+                0x20392a3d11c3d827,
+                0x5dcab7e72e1b849d,
+                0x871cb30885b30577,
+                0x20392a3d11c3d827,
+            ],
+        ),
+        (
+            "spatial_transformer",
+            Box::new(stn),
+            img,
+            [
+                0xfa440188f53b66cd,
+                0x0168b48e51e5c006,
+                0x4c02a0b918213a42,
+                0xfa440188f53b66cd,
+            ],
+        ),
+    ];
+    let mut ws = Workspace::new();
+    for (name, layer, x, golden) in cases {
+        let plain = layer_step_digests(layer.clone_box().as_mut(), &x, None);
+        assert_eq!(
+            plain, golden,
+            "{name}: diverged from the allocating-era build"
+        );
+        for pass in 0..2 {
+            let pooled = layer_step_digests(layer.clone_box().as_mut(), &x, Some(&mut ws));
+            assert_eq!(pooled, golden, "{name}: workspace pass {pass} diverged");
+        }
+    }
+}
+
+fn value_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Per-sample bits of every Monte-Carlo drift evaluator a paper figure or
+/// the engine reads — `drift_accuracy` (softmax and FTNA codebook
+/// decoders), `reram_v_accuracy`, `accuracy_vs_sigma`, and the
+/// `DriftObjective` under both metrics on flat and image data — pinned to
+/// the build that ran each through its own driver.
+#[test]
+fn drift_evaluators_match_pre_refactor_goldens() {
+    use baselines::{drift_accuracy, reram_v_accuracy, ReRamVConfig};
+    use bayesft::{accuracy_vs_sigma, DriftObjective, ObjectiveMetric};
+    use reram::LogNormalDrift;
+
+    let mut rng = ChaCha8Rng::seed_from_u64(21);
+    // 150 rows: two full 64-row batches plus a 22-row remainder.
+    let data = datasets::moons(150, 0.1, &mut rng);
+    let cfg = TrainConfig::fast_test();
+    let net = Box::new(Mlp::new(&MlpConfig::new(2, 2).hidden(8), &mut rng));
+    let mut erm = train_erm(net, &data, &cfg);
+    let cb = Codebook::hadamard(2);
+    let net = Box::new(Mlp::new(&MlpConfig::new(2, cb.bits()).hidden(8), &mut rng));
+    let mut ftna = train_ftna(net, &data, &cfg, cb);
+
+    let softmax = drift_accuracy(&mut erm, &data, &LogNormalDrift::new(0.8), 5, 3);
+    assert_eq!(
+        value_bits(&softmax.values),
+        vec![0x3f6147ae, 0x3f51eb85, 0x3f4b17e5, 0x3f58bf26, 0x3f5dddde],
+        "softmax decoder"
+    );
+    let codebook = drift_accuracy(&mut ftna, &data, &LogNormalDrift::new(0.8), 5, 3);
+    assert_eq!(
+        value_bits(&codebook.values),
+        vec![0x3f5f92c6, 0x3f51eb85, 0x3f5f92c6, 0x3f3f258c, 0x3f570a3d],
+        "codebook decoder"
+    );
+
+    let reram_v = reram_v_accuracy(&mut erm, &data, 0.8, 4, 5, &ReRamVConfig::default());
+    assert_eq!(
+        value_bits(&reram_v.values),
+        vec![0x3f5c28f6, 0x3f40da74, 0x3f5dddde, 0x3f555555],
+        "reram_v"
+    );
+
+    let sweep: Vec<u32> = accuracy_vs_sigma(&mut erm, &data, &[0.0, 0.6, 1.2], 3, 9)
+        .iter()
+        .flat_map(|(_, stats)| value_bits(&stats.values))
+        .collect();
+    assert_eq!(
+        sweep,
+        vec![
+            0x3f6147ae, 0x3f6147ae, 0x3f6147ae, 0x3f570a3d, 0x3f6147ae, 0x3f555555, 0x3f5a740e,
+            0x3f5a740e, 0x3f47ae14
+        ],
+        "accuracy_vs_sigma"
+    );
+
+    let neg_loss = DriftObjective::with_sigmas(vec![0.3, 0.9], 3).metric(ObjectiveMetric::NegLoss);
+    let serial = neg_loss.evaluate(erm.net.as_mut(), &data, 17);
+    assert_eq!(
+        value_bits(&serial.values),
+        vec![0xbe5a8153, 0xbe679ca4, 0xbe688c44, 0xbfac1163, 0xbea61901, 0xbe98afe3],
+        "neg-loss objective"
+    );
+    let parallel = neg_loss.evaluate_parallel(erm.net.as_mut(), &data, 17, 2);
+    assert_eq!(
+        parallel.values, serial.values,
+        "neg-loss objective, 2 workers"
+    );
+
+    // Image batches: flattened for an MLP, fed as-is to LeNet.
+    let digits = datasets::digits(9, &mut rng);
+    let mut flat = Mlp::new(&MlpConfig::new(14 * 14, 10).hidden(16), &mut rng);
+    let acc = DriftObjective::new(0.5, 3).evaluate(&mut flat, &digits, 23);
+    assert_eq!(
+        value_bits(&acc.values),
+        vec![0x3dfa4fa5, 0x3d638e39, 0x3dcccccd],
+        "mlp on images"
+    );
+    let mut lenet = LeNet5::new(1, 14, 10, &mut rng);
+    let lenet_loss = DriftObjective::new(0.5, 3)
+        .metric(ObjectiveMetric::NegLoss)
+        .evaluate(&mut lenet, &digits, 29);
+    assert_eq!(
+        value_bits(&lenet_loss.values),
+        vec![0xc064c59e, 0xc046aa74, 0xc07744ac],
+        "lenet neg-loss"
+    );
+}
