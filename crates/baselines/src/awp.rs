@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::FaultInjector;
 
-use crate::{trained::reshape_for, OutputDecoder, TrainConfig, TrainedModel};
+use crate::{eval::shaped_batch, OutputDecoder, TrainConfig, TrainedModel};
 
 /// AWP hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,10 +43,10 @@ pub fn train_awp(
     for _ in 0..cfg.epochs {
         let shuffled = data.shuffled(&mut rng);
         for (x, labels) in shuffled.batches(cfg.batch_size) {
-            let x = reshape_for(net.as_mut(), &x);
+            let x = shaped_batch(net.as_ref(), x.as_slice(), x.dims(), &mut ws);
             // 1. Gradient at the current weights (workspace train path).
             net.zero_grads();
-            let logits = net.forward_ws(x.as_ref(), Mode::Train, &mut ws);
+            let logits = net.forward_ws(&x, Mode::Train, &mut ws);
             let out = softmax_cross_entropy_ws(&logits, &labels, &mut ws);
             ws.recycle(logits);
             let grad_in = net.backward_ws(&out.grad, &mut ws);
@@ -64,7 +64,7 @@ pub fn train_awp(
             });
             // 3. Gradient at the perturbed weights.
             net.zero_grads();
-            let logits = net.forward_ws(x.as_ref(), Mode::Train, &mut ws);
+            let logits = net.forward_ws(&x, Mode::Train, &mut ws);
             let out = softmax_cross_entropy_ws(&logits, &labels, &mut ws);
             ws.recycle(logits);
             let grad_in = net.backward_ws(&out.grad, &mut ws);
@@ -83,6 +83,7 @@ pub fn train_awp(
                 i += 1;
             });
             opt.step(net.as_mut());
+            ws.recycle(x);
         }
     }
     TrainedModel {

@@ -5,15 +5,15 @@ use nn::{softmax_cross_entropy_ws, Layer, Mode, Optimizer, Sgd, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::{trained::reshape_for, OutputDecoder, TrainConfig, TrainedModel};
+use crate::{eval::shaped_batch, OutputDecoder, TrainConfig, TrainedModel};
 
 /// Runs standard mini-batch SGD cross-entropy training in place and returns
 /// the mean training loss of each epoch.
 ///
 /// The step runs on the workspace train path — `forward_ws`, a pooled loss
 /// gradient, `backward_ws`, and an in-place optimizer — so after the first
-/// batch warms the buffer pool, each step performs zero heap allocations
-/// (bit-identical to the allocating `forward`/`backward` loop it replaced).
+/// batch warms the buffer pool, each step performs zero heap allocations.
+/// Image batches are flattened for an MLP exactly as the eval pass does.
 pub fn train_epochs(
     net: &mut dyn Layer,
     data: &ClassificationDataset,
@@ -28,8 +28,9 @@ pub fn train_epochs(
         let mut loss_sum = 0.0;
         let mut batches = 0;
         for (x, labels) in shuffled.batches(cfg.batch_size) {
-            let x = reshape_for(net, &x);
-            loss_sum += train_step(net, x.as_ref(), &labels, &mut opt, &mut ws);
+            let x = shaped_batch(net, x.as_slice(), x.dims(), &mut ws);
+            loss_sum += train_step(net, &x, &labels, &mut opt, &mut ws);
+            ws.recycle(x);
             batches += 1;
         }
         epoch_losses.push(loss_sum / batches.max(1) as f32);

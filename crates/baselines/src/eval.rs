@@ -1,15 +1,87 @@
-//! Monte-Carlo drift evaluation of trained models (shared by all methods
-//! except ReRAM-V, which has its own calibration protocol).
+//! The eval pass every accuracy and drift evaluation shares, and the
+//! Monte-Carlo drift accuracy built on it (all methods except ReRAM-V,
+//! which has its own calibration protocol).
 
 use datasets::ClassificationDataset;
+use nn::{Layer, Mode, Workspace};
 use reram::{monte_carlo, DriftModel, McStats};
+use tensor::{Tensor, MAX_RANK};
 
-use crate::TrainedModel;
+use crate::{OutputDecoder, TrainedModel};
+
+/// Rows per evaluation batch.
+const EVAL_BATCH: usize = 64;
+
+/// `src` (a batch of `dims[0]` rows laid out as `dims`) copied into a
+/// pooled tensor shaped for `net`: flattened to `[n, features]` for an MLP
+/// fed image rows, in its own layout otherwise.
+pub(crate) fn shaped_batch(
+    net: &dyn Layer,
+    src: &[f32],
+    dims: &[usize],
+    ws: &mut Workspace,
+) -> Tensor {
+    let mut x = if net.name() == "mlp" && dims.len() > 2 {
+        ws.take_tensor(&[dims[0], dims[1..].iter().product()])
+    } else {
+        ws.take_tensor(dims)
+    };
+    x.as_mut_slice().copy_from_slice(src);
+    x
+}
+
+/// One eval-mode pass of `net` over `data` in 64-row batches: each batch is
+/// copied into a pooled tensor shaped for the net, run through
+/// [`Layer::forward_ws`], and handed with its labels (and the pool) to
+/// `per_batch`. Every buffer goes back to `ws`, so once the pool is warm a
+/// pass allocates nothing.
+pub fn eval_pass(
+    net: &mut dyn Layer,
+    data: &ClassificationDataset,
+    ws: &mut Workspace,
+    mut per_batch: impl FnMut(&Tensor, &[usize], &mut Workspace),
+) {
+    let images = data.images();
+    let (rank, row) = (images.rank(), data.feature_len());
+    let mut dims = [0usize; MAX_RANK];
+    dims[..rank].copy_from_slice(images.dims());
+    for start in (0..data.len()).step_by(EVAL_BATCH) {
+        let end = (start + EVAL_BATCH).min(data.len());
+        dims[0] = end - start;
+        let src = &images.as_slice()[start * row..end * row];
+        let x = shaped_batch(net, src, &dims[..rank], ws);
+        let out = net.forward_ws(&x, Mode::Eval, ws);
+        ws.recycle(x);
+        per_batch(&out, &data.labels()[start..end], ws);
+        ws.recycle(out);
+    }
+}
+
+/// Top-1 accuracy of `net` on `data` under `decoder`, through
+/// [`eval_pass`].
+pub fn eval_accuracy(
+    net: &mut dyn Layer,
+    decoder: &OutputDecoder,
+    data: &ClassificationDataset,
+    ws: &mut Workspace,
+) -> f32 {
+    let mut correct = 0usize;
+    eval_pass(net, data, ws, |out, labels, _| {
+        correct += labels
+            .iter()
+            .enumerate()
+            .filter(|&(r, &label)| decoder.decode_row(out.row(r)) == label)
+            .count();
+    });
+    correct as f32 / data.len().max(1) as f32
+}
 
 /// Monte-Carlo accuracy of a trained model under a drift model: the
-/// estimator of the paper's Eq. (4) with the metric set to test accuracy.
+/// estimator of the paper's Eq. (4) with the metric set to test accuracy,
+/// run through [`reram::monte_carlo`] with `seed` as the level's master
+/// seed.
 ///
-/// Weights are restored between trials; the model is unchanged afterwards.
+/// The model is unchanged afterwards.
 ///
 /// # Panics
 ///
@@ -39,25 +111,14 @@ pub fn drift_accuracy(
     trials: usize,
     seed: u64,
 ) -> McStats {
-    // `monte_carlo` drives injection/restore; decoding happens inside the
-    // metric closure via the model's decoder.
-    let decoder = model.decoder.clone();
-    let net = model.net.as_mut();
-    monte_carlo(net, drift, trials, seed, |n| {
-        let mut preds = Vec::with_capacity(data.len());
-        let mut labels = Vec::with_capacity(data.len());
-        for (x, y) in data.batches(64) {
-            let x = crate::trained::reshape_for(n, &x);
-            let out = n.forward(x.as_ref(), nn::Mode::Eval);
-            let p = match &decoder {
-                crate::OutputDecoder::Softmax => out.argmax_rows(),
-                crate::OutputDecoder::Codebook(cb) => cb.decode_batch(&out),
-            };
-            preds.extend(p);
-            labels.extend(y);
-        }
-        metrics::accuracy(&preds, &labels)
-    })
+    let decoder = &model.decoder;
+    McStats::from_values(monte_carlo(
+        model.net.as_mut(),
+        &[(drift, seed)],
+        trials,
+        1,
+        |net, ws| eval_accuracy(net, decoder, data, ws),
+    ))
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use tensor::Tensor;
 
-use crate::{trained::reshape_for, OutputDecoder, TrainConfig, TrainedModel};
+use crate::{eval::shaped_batch, OutputDecoder, TrainConfig, TrainedModel};
 
 /// A binary class codebook with guaranteed pairwise Hamming distance
 /// (Sylvester–Hadamard construction: distance = bits/2).
@@ -88,29 +88,20 @@ impl Codebook {
 
     /// Decodes one output row (logits) to the nearest class.
     pub fn decode(&self, logits: &[f32]) -> usize {
-        let bits: Vec<u8> = logits.iter().map(|&v| u8::from(v > 0.0)).collect();
         let mut best_class = 0;
         let mut best_dist = usize::MAX;
         for (class, code) in self.codes.iter().enumerate() {
-            let d = code.iter().zip(&bits).filter(|(x, y)| x != y).count();
+            let d = code
+                .iter()
+                .zip(logits)
+                .filter(|&(&bit, &v)| bit != u8::from(v > 0.0))
+                .count();
             if d < best_dist {
                 best_dist = d;
                 best_class = class;
             }
         }
         best_class
-    }
-
-    /// Decodes every row of an `[N, bits]` output tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column count differs from the codeword length.
-    pub fn decode_batch(&self, out: &Tensor) -> Vec<usize> {
-        assert_eq!(out.dims()[1], self.bits, "output width != codeword length");
-        (0..out.dims()[0])
-            .map(|r| self.decode(out.row(r)))
-            .collect()
     }
 
     /// Binary cross-entropy (with logits) against the class codewords, plus
@@ -172,14 +163,15 @@ pub fn train_ftna(
     for _ in 0..cfg.epochs {
         let shuffled = data.shuffled(&mut rng);
         for (x, labels) in shuffled.batches(cfg.batch_size) {
-            let x = reshape_for(net.as_mut(), &x);
-            let logits = net.forward_ws(x.as_ref(), Mode::Train, &mut ws);
+            let x = shaped_batch(net.as_ref(), x.as_slice(), x.dims(), &mut ws);
+            let logits = net.forward_ws(&x, Mode::Train, &mut ws);
             let out = codebook.bce_loss_ws(&logits, &labels, &mut ws);
             ws.recycle(logits);
             let grad_in = net.backward_ws(&out.grad, &mut ws);
             ws.recycle(grad_in);
             ws.recycle(out.grad);
             opt.step(net.as_mut());
+            ws.recycle(x);
         }
     }
     TrainedModel {

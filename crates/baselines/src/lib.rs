@@ -42,7 +42,7 @@ mod trained;
 
 pub use awp::{train_awp, AwpConfig};
 pub use erm::{train_epochs, train_erm, train_step};
-pub use eval::drift_accuracy;
+pub use eval::{drift_accuracy, eval_accuracy, eval_pass};
 pub use ftna::{train_ftna, Codebook};
 pub use reram_v::{reram_v_accuracy, ReRamVConfig};
 pub use trained::{OutputDecoder, TrainConfig, TrainedModel};

@@ -12,11 +12,12 @@
 //! visit.
 
 use datasets::ClassificationDataset;
+use nn::Workspace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use reram::{Crossbar, CrossbarConfig, FaultInjector, LogNormalDrift, McStats};
 
-use crate::TrainedModel;
+use crate::{eval_accuracy, TrainedModel};
 
 /// ReRAM-V evaluation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,11 +63,17 @@ pub fn reram_v_accuracy(
 ) -> McStats {
     assert!(trials > 0, "need at least one trial");
     let reference = FaultInjector::snapshot(model.net.as_mut());
+    let (field, residual) = (
+        LogNormalDrift::new(sigma),
+        LogNormalDrift::new(sigma * cfg.residual_fraction),
+    );
+    let mut ws = Workspace::new();
     let mut values = Vec::with_capacity(trials);
     for t in 0..trials {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
-        // 1. Field drift.
-        FaultInjector::inject(model.net.as_mut(), &LogNormalDrift::new(sigma), &mut rng);
+        // 1. Field drift, straight from the pristine reference weights.
+        FaultInjector::inject_from(&reference, model.net.as_mut(), &field, &mut rng)
+            .expect("snapshot was taken from this network");
         // 2. Calibration: re-program each tensor toward its reference value.
         //    Iterating keeps the best read-back (later passes may be luckier
         //    with programming noise).
@@ -89,16 +96,17 @@ pub fn reram_v_accuracy(
             ref_idx += 1;
         });
         // 3. Post-calibration drift.
-        FaultInjector::inject(
+        FaultInjector::inject(model.net.as_mut(), &residual, &mut rng);
+        values.push(eval_accuracy(
             model.net.as_mut(),
-            &LogNormalDrift::new(sigma * cfg.residual_fraction),
-            &mut rng,
-        );
-        values.push(model.accuracy(data));
-        reference
-            .restore(model.net.as_mut())
-            .expect("snapshot was taken from this network");
+            &model.decoder,
+            data,
+            &mut ws,
+        ));
     }
+    reference
+        .restore_into(model.net.as_mut())
+        .expect("snapshot was taken from this network");
     McStats::from_values(values)
 }
 

@@ -2,8 +2,7 @@
 //! class predictions.
 
 use datasets::ClassificationDataset;
-use metrics::accuracy;
-use nn::{Layer, Mode};
+use nn::{Layer, Mode, Workspace};
 use tensor::Tensor;
 
 use crate::Codebook;
@@ -58,6 +57,16 @@ pub enum OutputDecoder {
     Codebook(Codebook),
 }
 
+impl OutputDecoder {
+    /// The class predicted by one row of raw network output.
+    pub fn decode_row(&self, out: &[f32]) -> usize {
+        match self {
+            OutputDecoder::Softmax => tensor::argmax_nan_low(out),
+            OutputDecoder::Codebook(cb) => cb.decode(out),
+        }
+    }
+}
+
 /// A trained network together with its output decoder.
 pub struct TrainedModel {
     /// The trained network.
@@ -73,22 +82,19 @@ impl TrainedModel {
     /// what the network was trained on).
     pub fn predict(&mut self, x: &Tensor) -> Vec<usize> {
         let out = self.net.forward(x, Mode::Eval);
-        match &self.decoder {
-            OutputDecoder::Softmax => out.argmax_rows(),
-            OutputDecoder::Codebook(cb) => cb.decode_batch(&out),
-        }
+        (0..out.dims()[0])
+            .map(|r| self.decoder.decode_row(out.row(r)))
+            .collect()
     }
 
-    /// Top-1 accuracy on a dataset (evaluated in batches of 64).
+    /// Top-1 accuracy on a dataset, through [`crate::eval_accuracy`].
     pub fn accuracy(&mut self, data: &ClassificationDataset) -> f32 {
-        let mut preds = Vec::with_capacity(data.len());
-        let mut labels = Vec::with_capacity(data.len());
-        for (x, y) in data.batches(64) {
-            let x = reshape_for(self.net.as_mut(), &x);
-            preds.extend(self.predict(x.as_ref()));
-            labels.extend(y);
-        }
-        accuracy(&preds, &labels)
+        crate::eval_accuracy(
+            self.net.as_mut(),
+            &self.decoder,
+            data,
+            &mut Workspace::new(),
+        )
     }
 }
 
@@ -97,19 +103,6 @@ impl std::fmt::Debug for TrainedModel {
         f.debug_struct("TrainedModel")
             .field("method", &self.method)
             .finish()
-    }
-}
-
-/// Flattens image batches for MLP-style networks; borrows the input
-/// untouched otherwise, so the common no-reshape case costs nothing per
-/// batch.
-pub(crate) fn reshape_for<'a>(net: &mut dyn Layer, x: &'a Tensor) -> std::borrow::Cow<'a, Tensor> {
-    if net.name() == "mlp" && x.rank() > 2 {
-        let n = x.dims()[0];
-        let rest: usize = x.dims()[1..].iter().product();
-        std::borrow::Cow::Owned(x.reshaped(&[n, rest]).expect("element count preserved"))
-    } else {
-        std::borrow::Cow::Borrowed(x)
     }
 }
 
@@ -134,14 +127,18 @@ mod tests {
     }
 
     #[test]
-    fn reshape_for_flattens_only_for_mlp() {
+    fn shaped_batch_flattens_only_for_mlp() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let mut mlp = Mlp::new(&MlpConfig::new(4, 2), &mut rng);
+        let mlp = Mlp::new(&MlpConfig::new(4, 2), &mut rng);
+        let mut ws = Workspace::new();
         let img = Tensor::ones(&[2, 1, 2, 2]);
-        assert_eq!(reshape_for(&mut mlp, &img).dims(), &[2, 4]);
-        let mut lenet = models::LeNet5::new(1, 14, 2, &mut rng);
+        let x = crate::eval::shaped_batch(&mlp, img.as_slice(), img.dims(), &mut ws);
+        assert_eq!(x.dims(), &[2, 4]);
+        let lenet = models::LeNet5::new(1, 14, 2, &mut rng);
         let img14 = Tensor::ones(&[2, 1, 14, 14]);
-        assert_eq!(reshape_for(&mut lenet, &img14).dims(), &[2, 1, 14, 14]);
+        let x = crate::eval::shaped_batch(&lenet, img14.as_slice(), img14.dims(), &mut ws);
+        assert_eq!(x.dims(), &[2, 1, 14, 14]);
+        assert_eq!(x.as_slice(), img14.as_slice());
     }
 
     #[test]

@@ -68,18 +68,6 @@ fn bench_drift_injection(c: &mut Criterion) {
         let mut net = Mlp::new(&MlpConfig::new(196, 10).depth(depth).hidden(64), &mut rng);
         let snapshot = FaultInjector::snapshot(&mut net);
         let drift = LogNormalDrift::new(0.6);
-        // Pre-refactor shape of the loop: separate inject + full restore.
-        group.bench_with_input(
-            BenchmarkId::new("inject_restore_mlp_depth", depth),
-            &depth,
-            |b, _| {
-                b.iter(|| {
-                    let mut rng = ChaCha8Rng::seed_from_u64(1);
-                    FaultInjector::inject(&mut net, &drift, &mut rng);
-                    snapshot.restore(&mut net).unwrap();
-                })
-            },
-        );
         // Fused hot path: one pass, straight from the snapshot.
         group.bench_with_input(
             BenchmarkId::new("inject_from_mlp_depth", depth),
@@ -97,7 +85,7 @@ fn bench_drift_injection(c: &mut Criterion) {
 }
 
 /// The steady-state Monte-Carlo trial (the paper's Eq. 4 inner loop):
-/// latency and allocator traffic, legacy vs fused/workspace form.
+/// latency and allocator traffic of the fused/workspace form.
 fn bench_mc_trial(c: &mut Criterion) {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let mut net = Mlp::new(&MlpConfig::new(196, 10).depth(3).hidden(64), &mut rng);
@@ -107,15 +95,6 @@ fn bench_mc_trial(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("mc_trial");
     group.sample_size(samples(40));
-    group.bench_function("legacy_restore_inject_forward", |b| {
-        b.iter(|| {
-            let mut rng = ChaCha8Rng::seed_from_u64(7);
-            FaultInjector::inject(&mut net, &drift, &mut rng);
-            let v = net.forward(&x, Mode::Eval).sum();
-            snapshot.restore(&mut net).unwrap();
-            v
-        })
-    });
     let mut ws = Workspace::new();
     group.bench_function("fused_inject_forward_ws", |b| {
         b.iter(|| {
@@ -129,24 +108,9 @@ fn bench_mc_trial(c: &mut Criterion) {
     });
     group.finish();
 
-    // Allocator traffic per steady-state trial, outside the timing loops.
+    // Allocator traffic per steady-state trial, outside the timing loops:
+    // warm the workspace, then measure the steady state.
     let trials = 32u64;
-    snapshot.restore_into(&mut net).unwrap();
-    let before = BYTES.load(Ordering::SeqCst);
-    for t in 0..trials {
-        let mut rng = ChaCha8Rng::seed_from_u64(t);
-        FaultInjector::inject(&mut net, &drift, &mut rng);
-        let _ = net.forward(&x, Mode::Eval).sum();
-        snapshot.restore(&mut net).unwrap();
-    }
-    let legacy_bytes = BYTES.load(Ordering::SeqCst) - before;
-    record_metric(
-        "mc_trial/legacy_bytes_per_trial",
-        legacy_bytes as f64 / trials as f64,
-        "bytes/iter",
-    );
-
-    // Warm the workspace, then measure the steady state.
     let mut ws = Workspace::new();
     for t in 0..2 {
         let mut rng = ChaCha8Rng::seed_from_u64(t);

@@ -63,17 +63,19 @@ pub fn drift_map(
     seed: u64,
 ) -> McStats {
     // `reram::monte_carlo` passes the network as `&mut dyn Layer`, which
-    // cannot reach TinyDetector's typed decode methods, so the
-    // snapshot/inject/restore loop is inlined here.
+    // cannot reach TinyDetector's typed decode methods, so the fused
+    // inject-from-snapshot loop (and its own seed formula) lives here.
     let snapshot = reram::FaultInjector::snapshot(det);
+    let drift = LogNormalDrift::new(sigma);
     let mut values = Vec::with_capacity(trials);
     for t in 0..trials {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (0x9E37_79B9u64.wrapping_mul(t as u64 + 1)));
-        reram::FaultInjector::inject(det, &LogNormalDrift::new(sigma), &mut rng);
-        values.push(detector_map(det, data, 0.5));
-        snapshot
-            .restore(det)
+        reram::FaultInjector::inject_from(&snapshot, det, &drift, &mut rng)
             .expect("snapshot was taken from this network");
+        values.push(detector_map(det, data, 0.5));
     }
+    snapshot
+        .restore_into(det)
+        .expect("snapshot was taken from this network");
     McStats::from_values(values)
 }

@@ -4,11 +4,8 @@
 use std::sync::Arc;
 
 use datasets::ClassificationDataset;
-use nn::{softmax_cross_entropy, Layer, Mode};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use reram::{DriftModel, FaultInjector, LogNormalDrift, McStats};
-use tensor::Tensor;
+use nn::{softmax_cross_entropy_ws, Layer, Workspace};
+use reram::{DriftModel, LogNormalDrift, McStats};
 
 /// Per-evaluation metadata handed to an [`Objective`] by the engine.
 ///
@@ -234,11 +231,10 @@ impl DriftObjective {
     }
 
     /// [`DriftObjective::evaluate`] with the Monte-Carlo samples of **all**
-    /// fault levels fanned out over one pool of `workers` threads.
-    /// Replicas are cloned and threads spawned once per evaluation, not per
-    /// level. Bit-identical to the serial path for every worker count:
-    /// sample `(i, t)` uses the same RNG seed either way, and results are
-    /// reassembled in level-major order.
+    /// fault levels fanned out over `workers` threads by
+    /// [`reram::monte_carlo`]. Fault level `i` runs under master seed
+    /// `mix_seed(seed, i + 1)`, and values come back level-major, so the
+    /// statistics are bit-identical for every worker count.
     pub fn evaluate_parallel(
         &self,
         network: &mut dyn Layer,
@@ -246,72 +242,20 @@ impl DriftObjective {
         seed: u64,
         workers: usize,
     ) -> McStats {
+        let levels: Vec<(&dyn DriftModel, u64)> = self
+            .levels
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.as_ref(), reram::mix_seed(seed, i as u64 + 1)))
+            .collect();
         let metric = self.metric;
-        let trials = self.trials;
-        let total = self.levels.len() * trials;
-        let workers = workers.min(total);
-        // Per-sample seed, shared by both paths. The inner mix matches
-        // what `reram::monte_carlo` derives for trial `t` of a run seeded
-        // with the outer mix — the equality the serial path relies on.
-        let sample_seed =
-            |i: usize, t: usize| reram::mix_seed(reram::mix_seed(seed, i as u64 + 1), t as u64);
-
-        if workers <= 1 {
-            let mut values = Vec::with_capacity(total);
-            for (i, level) in self.levels.iter().enumerate() {
-                let stats = reram::monte_carlo(
-                    network,
-                    level.as_ref(),
-                    trials,
-                    reram::mix_seed(seed, i as u64 + 1),
-                    |net| evaluate_once(net, data, metric),
-                );
-                values.extend(stats.values);
-            }
-            return McStats::from_values(values);
-        }
-
-        let snapshot = FaultInjector::snapshot(network);
-        let snapshot_ref = &snapshot;
-        let levels = &self.levels;
-        let replicas: Vec<Box<dyn Layer>> = (0..workers).map(|_| network.clone_box()).collect();
-        let mut values = vec![0.0f32; total];
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = replicas
-                .into_iter()
-                .enumerate()
-                .map(|(w, mut replica)| {
-                    scope.spawn(move || {
-                        let mut local = Vec::with_capacity(total / workers + 1);
-                        let mut k = w;
-                        // Fused inject-from-snapshot (see `reram::monte_carlo`):
-                        // every sample drifts straight from the shared pristine
-                        // snapshot, eliminating the per-sample restore pass.
-                        // The replica is dropped when the worker exits.
-                        while k < total {
-                            let (i, t) = (k / trials, k % trials);
-                            let mut rng = ChaCha8Rng::seed_from_u64(sample_seed(i, t));
-                            FaultInjector::inject_from(
-                                snapshot_ref,
-                                replica.as_mut(),
-                                levels[i].as_ref(),
-                                &mut rng,
-                            )
-                            .expect("snapshot was taken from this network's replica");
-                            local.push((k, evaluate_once(replica.as_mut(), data, metric)));
-                            k += workers;
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (k, v) in handle.join().expect("objective worker panicked") {
-                    values[k] = v;
-                }
-            }
-        });
-        McStats::from_values(values)
+        McStats::from_values(reram::monte_carlo(
+            network,
+            &levels,
+            self.trials,
+            workers,
+            |net, ws| evaluate_once(net, data, metric, ws),
+        ))
     }
 }
 
@@ -331,48 +275,28 @@ impl Objective for DriftObjective {
     }
 }
 
+/// The metric of one drifted network, through the shared
+/// [`baselines::eval_pass`].
 fn evaluate_once(
     net: &mut dyn Layer,
     data: &ClassificationDataset,
     metric: ObjectiveMetric,
+    ws: &mut Workspace,
 ) -> f32 {
-    let mut total_loss = 0.0f32;
-    let mut correct = 0usize;
-    let mut batches = 0usize;
-    for (x, labels) in data.batches(64) {
-        let x = flatten_if_mlp(net, &x);
-        let logits = net.forward(x.as_ref(), Mode::Eval);
-        match metric {
-            ObjectiveMetric::NegLoss => {
-                total_loss += softmax_cross_entropy(&logits, &labels).loss;
-                batches += 1;
-            }
-            ObjectiveMetric::Accuracy => {
-                correct += logits
-                    .argmax_rows()
-                    .iter()
-                    .zip(&labels)
-                    .filter(|(p, l)| p == l)
-                    .count();
-            }
-        }
-    }
     match metric {
-        ObjectiveMetric::NegLoss => -total_loss / batches.max(1) as f32,
-        ObjectiveMetric::Accuracy => correct as f32 / data.len().max(1) as f32,
-    }
-}
-
-/// Flattens image batches for MLP-style networks; borrows the input
-/// untouched otherwise — the non-MLP eval loop used to pay one full batch
-/// clone here per batch per Monte-Carlo trial.
-fn flatten_if_mlp<'a>(net: &mut dyn Layer, x: &'a Tensor) -> std::borrow::Cow<'a, Tensor> {
-    if net.name() == "mlp" && x.rank() > 2 {
-        let n = x.dims()[0];
-        let rest: usize = x.dims()[1..].iter().product();
-        std::borrow::Cow::Owned(x.reshaped(&[n, rest]).expect("element count preserved"))
-    } else {
-        std::borrow::Cow::Borrowed(x)
+        ObjectiveMetric::NegLoss => {
+            let (mut total_loss, mut batches) = (0.0f32, 0usize);
+            baselines::eval_pass(net, data, ws, |logits, labels, ws| {
+                let out = softmax_cross_entropy_ws(logits, labels, ws);
+                total_loss += out.loss;
+                ws.recycle(out.grad);
+                batches += 1;
+            });
+            -total_loss / batches.max(1) as f32
+        }
+        ObjectiveMetric::Accuracy => {
+            baselines::eval_accuracy(net, &baselines::OutputDecoder::Softmax, data, ws)
+        }
     }
 }
 
@@ -493,23 +417,6 @@ mod tests {
             DriftObjective::from_specs(&[bad], 3).unwrap_err(),
             BayesFtError::Fault(_)
         ));
-    }
-
-    #[test]
-    fn flatten_if_mlp_borrows_unless_reshaping() {
-        use std::borrow::Cow;
-        let (mut net, _) = setup();
-        // Already flat: the eval loop must not pay a clone per batch.
-        let flat = Tensor::ones(&[4, 2]);
-        assert!(matches!(flatten_if_mlp(&mut net, &flat), Cow::Borrowed(_)));
-        // Image batch into an MLP: reshaped copy.
-        let img = Tensor::ones(&[4, 1, 1, 2]);
-        let reshaped = flatten_if_mlp(&mut net, &img);
-        assert!(matches!(reshaped, Cow::Owned(_)));
-        assert_eq!(reshaped.dims(), &[4, 2]);
-        // Non-MLP networks keep image batches borrowed, any rank.
-        let mut id = nn::Identity::new();
-        assert!(matches!(flatten_if_mlp(&mut id, &img), Cow::Borrowed(_)));
     }
 
     #[test]

@@ -3,12 +3,14 @@
 
 use baselines::TrainedModel;
 use datasets::ClassificationDataset;
-use reram::{LogNormalDrift, McStats};
+use reram::{DriftModel, LogNormalDrift, McStats};
 
 /// The σ grid every figure in the paper sweeps: 0 to 1.5 in steps of 0.3.
 pub const SIGMA_GRID: [f32; 6] = [0.0, 0.3, 0.6, 0.9, 1.2, 1.5];
 
-/// Accuracy of a trained model at each σ of a grid (Monte-Carlo averaged).
+/// Accuracy of a trained model at each σ of a grid (Monte-Carlo averaged),
+/// all σ levels in one [`reram::monte_carlo`] run. Level `σ` runs under
+/// master seed `seed ^ (σ·1000) as u64`.
 ///
 /// # Panics
 ///
@@ -20,18 +22,20 @@ pub fn accuracy_vs_sigma(
     trials: usize,
     seed: u64,
 ) -> Vec<(f32, McStats)> {
+    let drifts: Vec<LogNormalDrift> = sigmas.iter().map(|&s| LogNormalDrift::new(s)).collect();
+    let levels: Vec<(&dyn DriftModel, u64)> = drifts
+        .iter()
+        .zip(sigmas)
+        .map(|(d, &s)| (d as &dyn DriftModel, seed ^ ((s * 1000.0) as u64)))
+        .collect();
+    let decoder = &model.decoder;
+    let values = reram::monte_carlo(model.net.as_mut(), &levels, trials, 1, |net, ws| {
+        baselines::eval_accuracy(net, decoder, data, ws)
+    });
     sigmas
         .iter()
-        .map(|&sigma| {
-            let stats = baselines::drift_accuracy(
-                model,
-                data,
-                &LogNormalDrift::new(sigma),
-                trials,
-                seed ^ ((sigma * 1000.0) as u64),
-            );
-            (sigma, stats)
-        })
+        .zip(values.chunks(trials))
+        .map(|(&sigma, v)| (sigma, McStats::from_values(v.to_vec())))
         .collect()
 }
 

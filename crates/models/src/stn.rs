@@ -3,7 +3,10 @@
 //! it, and a CNN classifies the canonicalized image — the architecture the
 //! paper uses for randomized-geometry traffic-sign recognition (ref. [27]).
 
-use nn::{Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode, Param, Relu, Sequential};
+use nn::{
+    cache_into, Conv2d, Dense, Dropout, Flatten, Layer, MaxPool2d, Mode, Param, Relu, Sequential,
+    Workspace,
+};
 use rand::Rng;
 use tensor::Tensor;
 
@@ -18,13 +21,10 @@ use crate::delegate_layer;
 #[derive(Clone)]
 pub struct SpatialTransformer {
     loc: Sequential,
-    cache: Option<StnCache>,
-}
-
-#[derive(Clone)]
-struct StnCache {
-    input: Tensor,
-    theta: Tensor,
+    /// Input and predicted θ of the last forward (the backward tape),
+    /// refreshed in place.
+    input: Option<Tensor>,
+    theta: Option<Tensor>,
 }
 
 impl SpatialTransformer {
@@ -61,12 +61,16 @@ impl SpatialTransformer {
             }
             idx += 1;
         });
-        SpatialTransformer { loc, cache: None }
+        SpatialTransformer {
+            loc,
+            input: None,
+            theta: None,
+        }
     }
 
     /// The most recent predicted affine parameters (testing hook).
     pub fn last_theta(&self) -> Option<&Tensor> {
-        self.cache.as_ref().map(|c| &c.theta)
+        self.theta.as_ref()
     }
 }
 
@@ -81,16 +85,17 @@ fn pixel(img: &[f32], c: usize, y: i64, x: i64, h: usize, w: usize) -> f32 {
 }
 
 impl Layer for SpatialTransformer {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         assert_eq!(input.rank(), 4, "spatial transformer expects [N, C, H, W]");
-        let theta = self.loc.forward(input, mode);
+        let theta = self.loc.forward_ws(input, mode, ws);
         let (n, c, h, w) = (
             input.dims()[0],
             input.dims()[1],
             input.dims()[2],
             input.dims()[3],
         );
-        let mut out = Tensor::zeros(input.dims());
+        // Every output element is written below.
+        let mut out = ws.take_tensor(input.dims());
         let src = input.as_slice();
         let dst = out.as_mut_slice();
         let chw = c * h * w;
@@ -122,20 +127,16 @@ impl Layer for SpatialTransformer {
                 }
             }
         }
-        self.cache = Some(StnCache {
-            input: input.clone(),
-            theta,
-        });
+        cache_into(&mut self.input, input.as_slice(), input.dims());
+        cache_into(&mut self.theta, theta.as_slice(), theta.dims());
+        ws.recycle(theta);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("backward called before forward on spatial_transformer");
-        let input = &cache.input;
-        let theta = &cache.theta;
+    fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        const MISSING: &str = "backward called before forward on spatial_transformer";
+        let input = self.input.as_ref().expect(MISSING);
+        let theta = self.theta.as_ref().expect(MISSING);
         let (n, c, h, w) = (
             input.dims()[0],
             input.dims()[1],
@@ -145,8 +146,10 @@ impl Layer for SpatialTransformer {
         let chw = c * h * w;
         let src = input.as_slice();
         let go = grad_out.as_slice();
-        let mut grad_input = Tensor::zeros(input.dims());
-        let mut grad_theta = Tensor::zeros(&[n, 6]);
+        let mut grad_input = ws.take_tensor(input.dims());
+        grad_input.as_mut_slice().fill(0.0);
+        // Every row is written below.
+        let mut grad_theta = ws.take_tensor(&[n, 6]);
         for s in 0..n {
             let t = theta.row(s);
             let img = &src[s * chw..(s + 1) * chw];
@@ -202,8 +205,10 @@ impl Layer for SpatialTransformer {
             }
             grad_theta.row_mut(s).copy_from_slice(&gt);
         }
-        let grad_via_loc = self.loc.backward(&grad_theta);
+        let grad_via_loc = self.loc.backward_ws(&grad_theta, ws);
         grad_input.add_assign(&grad_via_loc);
+        ws.recycle(grad_theta);
+        ws.recycle(grad_via_loc);
         grad_input
     }
 

@@ -1,6 +1,6 @@
 //! Finite-difference gradient checking used throughout the test suite,
-//! plus the workspace-path equivalence check: `forward_ws`/`backward_ws`
-//! must be bit-identical to `forward`/`backward`.
+//! plus the buffer-reuse check: a train step through a recycled
+//! [`Workspace`] must be bit-identical to one through a fresh pool.
 
 use tensor::Tensor;
 
@@ -137,16 +137,18 @@ pub fn numeric_gradient(layer: &mut dyn Layer, x: &Tensor, eps: f32) -> f32 {
     GradCheck::new().eps(eps).max_input_error(layer, x)
 }
 
-/// Counts the scalars where the workspace train step diverges bitwise from
-/// the allocating one: two replicas of `layer` (cloned via
-/// [`Layer::clone_box`], so RNG states match) run
-/// `forward`/`backward` and `forward_ws`/`backward_ws` on the same input,
-/// and the forward outputs, input gradients, and accumulated parameter
+/// Counts the scalars where a train step through a recycled [`Workspace`]
+/// diverges bitwise from one through a fresh pool: two replicas of `layer`
+/// (cloned via [`Layer::clone_box`], so RNG states match) run the provided
+/// `forward`/`backward` (a new pool per call) and
+/// `forward_ws`/`backward_ws` on one shared pool, on the same input, and
+/// the forward outputs, input gradients, and accumulated parameter
 /// gradients are compared bit for bit. Returns the number of differing
-/// scalars — `0` is the invariant every layer must uphold.
+/// scalars — `0` is the invariant every layer must uphold: no layer may
+/// read the unspecified contents of a recycled buffer.
 ///
-/// Two passes run through one shared [`Workspace`], so the second pass
-/// exercises recycled (stale-content) buffers.
+/// Two passes run, so the second exercises recycled (stale-content)
+/// buffers.
 pub fn backward_ws_divergence(layer: &dyn Layer, x: &Tensor, mode: Mode) -> usize {
     let mut reference = layer.clone_box();
     let mut candidate = layer.clone_box();

@@ -58,7 +58,7 @@ pub use conv::{AvgPool2d, Conv2d, Flatten, GlobalAvgPool, MaxPool2d};
 pub use dense::Dense;
 pub use dropout::{AlphaDropout, Dropout};
 pub use gradcheck::{backward_ws_divergence, numeric_gradient, GradCheck};
-pub use layer::{Identity, Layer, Sequential};
+pub use layer::{cache_into, Identity, Layer, Sequential};
 pub use loss::{mse_loss, one_hot, softmax_cross_entropy, softmax_cross_entropy_ws, LossOutput};
 pub use norm::{BatchNorm, GroupNorm, InstanceNorm, LayerNorm, NormKind};
 pub use optim::{Adam, Optimizer, Sgd};

@@ -20,6 +20,7 @@
 use serde::{Deserialize, Serialize};
 use tensor::Tensor;
 
+use crate::layer::{cache_into, invalidate_cache};
 use crate::{Layer, Mode, Param, ParamKind, Workspace};
 
 const EPS: f32 = 1e-5;
@@ -79,7 +80,7 @@ impl std::fmt::Display for NormKind {
 }
 
 /// Layout information extracted from an input tensor.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct NormLayout {
     n: usize,
     c: usize,
@@ -128,131 +129,133 @@ fn coords(i: usize, lay: &NormLayout) -> (usize, usize) {
     (n, c)
 }
 
-/// Shared normalization state cached between forward and backward.
+/// Clears `v` and refills it with `n` default values, reusing capacity.
+fn zeroed<T: Copy + Default>(v: &mut Vec<T>, n: usize) {
+    v.clear();
+    v.resize(n, T::default());
+}
+
+/// Persistent per-layer normalization state: the backward tape (x̂, the
+/// per-group inverse std, the layout) and the group-statistic scratch,
+/// all grown once and reused across steps — part of the allocation-free
+/// training path.
 #[derive(Debug, Clone, Default)]
-struct NormCache {
-    xhat: Tensor,
+struct NormState {
+    /// x̂ of the last recorded forward; empty (or `None`) when there is no
+    /// tape to backpropagate through.
+    xhat: Option<Tensor>,
     inv_std: Vec<f32>,
     group_size: f32,
-    lay_n: usize,
-    lay_c: usize,
-    lay_s: usize,
-}
-
-/// Normalizes `x` within groups given by `group_of`, returning `(x̂, cache)`.
-fn normalize(
-    x: &Tensor,
-    lay: &NormLayout,
-    n_groups: usize,
-    group_of: impl Fn(usize, usize) -> usize,
-) -> (Tensor, NormCache) {
-    let mut sum = vec![0.0f64; n_groups];
-    let mut sum_sq = vec![0.0f64; n_groups];
-    let mut count = vec![0usize; n_groups];
-    for (i, &v) in x.as_slice().iter().enumerate() {
-        let (n, c) = coords(i, lay);
-        let g = group_of(n, c);
-        sum[g] += v as f64;
-        sum_sq[g] += (v as f64) * (v as f64);
-        count[g] += 1;
-    }
-    let mut mean = vec![0.0f32; n_groups];
-    let mut inv_std = vec![0.0f32; n_groups];
-    for g in 0..n_groups {
-        let m = sum[g] / count[g].max(1) as f64;
-        let var = (sum_sq[g] / count[g].max(1) as f64 - m * m).max(0.0);
-        mean[g] = m as f32;
-        inv_std[g] = 1.0 / ((var as f32) + EPS).sqrt();
-    }
-    let mut xhat = x.clone();
-    for (i, v) in xhat.as_mut_slice().iter_mut().enumerate() {
-        let (n, c) = coords(i, lay);
-        let g = group_of(n, c);
-        *v = (*v - mean[g]) * inv_std[g];
-    }
-    let group_size = count.first().copied().unwrap_or(1) as f32;
-    (
-        xhat.clone(),
-        NormCache {
-            xhat,
-            inv_std,
-            group_size,
-            lay_n: lay.n,
-            lay_c: lay.c,
-            lay_s: lay.s,
-        },
-    )
-}
-
-/// Persistent per-layer scratch for the backward group statistics (grown
-/// once, reused across steps — part of the allocation-free training path).
-#[derive(Debug, Clone, Default)]
-struct NormScratch {
+    lay: NormLayout,
+    sum: Vec<f64>,
+    sum_sq: Vec<f64>,
+    count: Vec<usize>,
+    mean: Vec<f32>,
     mean_g: Vec<f64>,
     mean_gx: Vec<f64>,
 }
 
-impl NormScratch {
-    /// Zeroed accumulators of length `n_groups`, reusing prior capacity.
-    fn reset(&mut self, n_groups: usize) {
-        self.mean_g.clear();
-        self.mean_g.resize(n_groups, 0.0);
-        self.mean_gx.clear();
-        self.mean_gx.resize(n_groups, 0.0);
+impl NormState {
+    /// Normalizes `x` within groups given by `group_of` into the cached x̂,
+    /// recording the per-group inverse std and layout for backward.
+    fn normalize(
+        &mut self,
+        x: &Tensor,
+        lay: NormLayout,
+        n_groups: usize,
+        group_of: impl Fn(usize, usize) -> usize,
+    ) {
+        zeroed(&mut self.sum, n_groups);
+        zeroed(&mut self.sum_sq, n_groups);
+        zeroed(&mut self.count, n_groups);
+        for (i, &v) in x.as_slice().iter().enumerate() {
+            let (n, c) = coords(i, &lay);
+            let g = group_of(n, c);
+            self.sum[g] += v as f64;
+            self.sum_sq[g] += (v as f64) * (v as f64);
+            self.count[g] += 1;
+        }
+        zeroed(&mut self.mean, n_groups);
+        zeroed(&mut self.inv_std, n_groups);
+        for g in 0..n_groups {
+            let m = self.sum[g] / self.count[g].max(1) as f64;
+            let var = (self.sum_sq[g] / self.count[g].max(1) as f64 - m * m).max(0.0);
+            self.mean[g] = m as f32;
+            self.inv_std[g] = 1.0 / ((var as f32) + EPS).sqrt();
+        }
+        cache_into(&mut self.xhat, x.as_slice(), x.dims());
+        let xhat = self.xhat.as_mut().expect("x̂ was just cached");
+        for (i, v) in xhat.as_mut_slice().iter_mut().enumerate() {
+            let (n, c) = coords(i, &lay);
+            let g = group_of(n, c);
+            *v = (*v - self.mean[g]) * self.inv_std[g];
+        }
+        self.group_size = self.count.first().copied().unwrap_or(1) as f32;
+        self.lay = lay;
     }
-}
 
-/// Backward pass of group-wise normalization, computed **in place** over
-/// `ĝ = g·γ`: on return each element holds
-/// `dx_i = inv_std_g · (ĝ_i − mean_G(ĝ) − x̂_i · mean_G(ĝ·x̂))`.
-fn normalize_backward(
-    ghat: &mut Tensor,
-    cache: &NormCache,
-    n_groups: usize,
-    group_of: impl Fn(usize, usize) -> usize,
-    scratch: &mut NormScratch,
-) {
-    let lay = NormLayout {
-        n: cache.lay_n,
-        c: cache.lay_c,
-        s: cache.lay_s,
-    };
-    scratch.reset(n_groups);
-    for (i, (&g, &xh)) in ghat
-        .as_slice()
-        .iter()
-        .zip(cache.xhat.as_slice())
-        .enumerate()
-    {
-        let (n, c) = coords(i, &lay);
-        let grp = group_of(n, c);
-        scratch.mean_g[grp] += g as f64;
-        scratch.mean_gx[grp] += (g * xh) as f64;
+    /// Writes the per-channel affine `γ·x̂ + β` of the cached x̂ into `out`.
+    fn affine_into(&self, out: &mut Tensor, gamma: &Tensor, beta: &Tensor) {
+        let xhat = self.xhat.as_ref().expect("x̂ was just cached");
+        for (i, (o, &xh)) in out
+            .as_mut_slice()
+            .iter_mut()
+            .zip(xhat.as_slice())
+            .enumerate()
+        {
+            let (_, c) = coords(i, &self.lay);
+            *o = gamma.as_slice()[c] * xh + beta.as_slice()[c];
+        }
     }
-    let m = cache.group_size as f64;
-    for grp in 0..n_groups {
-        scratch.mean_g[grp] /= m;
-        scratch.mean_gx[grp] /= m;
-    }
-    for (i, v) in ghat.as_mut_slice().iter_mut().enumerate() {
-        let (n, c) = coords(i, &lay);
-        let grp = group_of(n, c);
-        *v = cache.inv_std[grp]
-            * (*v
-                - scratch.mean_g[grp] as f32
-                - cache.xhat.as_slice()[i] * scratch.mean_gx[grp] as f32);
-    }
-}
 
-/// Applies the per-channel affine `γ·x̂ + β` and accumulates `dγ`, `dβ` on
-/// backward.
-fn apply_affine(xhat: &Tensor, lay: &NormLayout, gamma: &Tensor, beta: &Tensor) -> Tensor {
-    let mut out = xhat.clone();
-    for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-        let (_, c) = coords(i, lay);
-        *v = gamma.as_slice()[c] * *v + beta.as_slice()[c];
+    /// Backward through the affine and the group normalization, in place
+    /// over `ghat` (initially the output gradient, finally the input
+    /// gradient), accumulating `dγ`/`dβ`: with `ĝ = g·γ`, each element
+    /// becomes `inv_std_G · (ĝ_i − mean_G(ĝ) − x̂_i · mean_G(ĝ·x̂))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `missing_tape` if no forward recorded a tape.
+    fn backward(
+        &mut self,
+        ghat: &mut Tensor,
+        gamma: &mut Param,
+        beta: &mut Param,
+        n_groups: usize,
+        group_of: impl Fn(usize, usize) -> usize,
+        missing_tape: &str,
+    ) {
+        let xhat = match &self.xhat {
+            Some(t) if !t.is_empty() => t.as_slice(),
+            _ => panic!("{missing_tape}"),
+        };
+        let lay = self.lay;
+        for (i, v) in ghat.as_mut_slice().iter_mut().enumerate() {
+            let (_, c) = coords(i, &lay);
+            gamma.grad.as_mut_slice()[c] += *v * xhat[i];
+            beta.grad.as_mut_slice()[c] += *v;
+            *v *= gamma.value.as_slice()[c];
+        }
+        zeroed(&mut self.mean_g, n_groups);
+        zeroed(&mut self.mean_gx, n_groups);
+        for (i, (&g, &xh)) in ghat.as_slice().iter().zip(xhat).enumerate() {
+            let (n, c) = coords(i, &lay);
+            let grp = group_of(n, c);
+            self.mean_g[grp] += g as f64;
+            self.mean_gx[grp] += (g * xh) as f64;
+        }
+        let m = self.group_size as f64;
+        for grp in 0..n_groups {
+            self.mean_g[grp] /= m;
+            self.mean_gx[grp] /= m;
+        }
+        for (i, v) in ghat.as_mut_slice().iter_mut().enumerate() {
+            let (n, c) = coords(i, &lay);
+            let grp = group_of(n, c);
+            *v = self.inv_std[grp]
+                * (*v - self.mean_g[grp] as f32 - xhat[i] * self.mean_gx[grp] as f32);
+        }
     }
-    out
 }
 
 macro_rules! norm_common_impl {
@@ -290,8 +293,7 @@ pub struct BatchNorm {
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
     momentum: f32,
-    cache: Option<NormCache>,
-    scratch: NormScratch,
+    state: NormState,
 }
 
 impl BatchNorm {
@@ -304,8 +306,7 @@ impl BatchNorm {
             running_mean: vec![0.0; num_features],
             running_var: vec![1.0; num_features],
             momentum: 0.1,
-            cache: None,
-            scratch: NormScratch::default(),
+            state: NormState::default(),
         }
     }
 
@@ -313,85 +314,67 @@ impl BatchNorm {
     pub fn running_mean(&self) -> &[f32] {
         &self.running_mean
     }
-
-    /// Shared backward kernel: transforms `ĝ` (initially the output
-    /// gradient) into the input gradient in place, accumulating `dγ`/`dβ`.
-    fn backward_into(&mut self, ghat: &mut Tensor) {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("backward called before training-mode forward on batch_norm");
-        let lay = NormLayout {
-            n: cache.lay_n,
-            c: cache.lay_c,
-            s: cache.lay_s,
-        };
-        for (i, v) in ghat.as_mut_slice().iter_mut().enumerate() {
-            let (_, c) = coords(i, &lay);
-            self.gamma.grad.as_mut_slice()[c] += *v * cache.xhat.as_slice()[i];
-            self.beta.grad.as_mut_slice()[c] += *v;
-            *v *= self.gamma.value.as_slice()[c];
-        }
-        normalize_backward(ghat, cache, lay.c, |_, c| c, &mut self.scratch);
-    }
 }
 
 norm_common_impl!(BatchNorm);
 
 impl Layer for BatchNorm {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    fn forward_ws(&mut self, input: &Tensor, mode: Mode, ws: &mut Workspace) -> Tensor {
         let lay = layout(input, self.num_features);
+        let mut out = ws.take_tensor(input.dims());
         match mode {
             Mode::Train => {
-                let (xhat, cache) = normalize(input, &lay, lay.c, |_, c| c);
+                let st = &mut self.state;
+                st.normalize(input, lay, lay.c, |_, c| c);
                 // Recover batch statistics to refresh the running estimates.
                 for c in 0..lay.c {
-                    let inv = cache.inv_std[c];
+                    let inv = st.inv_std[c];
                     let var = 1.0 / (inv * inv) - EPS;
-                    // mean_c = x - xhat/inv; cheaper: recompute from sums is
-                    // gone, so derive from one representative element.
                     self.running_var[c] =
                         (1.0 - self.momentum) * self.running_var[c] + self.momentum * var;
                 }
-                // Batch means via direct pass (cheap relative to normalize).
-                let mut mean = vec![0.0f32; lay.c];
-                let mut cnt = vec![0usize; lay.c];
+                // Batch means via a direct f32 pass (cheap relative to
+                // normalize), reusing the group-mean scratch.
+                zeroed(&mut st.mean, lay.c);
                 for (i, &v) in input.as_slice().iter().enumerate() {
                     let (_, c) = coords(i, &lay);
-                    mean[c] += v;
-                    cnt[c] += 1;
+                    st.mean[c] += v;
                 }
                 for c in 0..lay.c {
-                    mean[c] /= cnt[c].max(1) as f32;
+                    st.mean[c] /= st.count[c].max(1) as f32;
                     self.running_mean[c] =
-                        (1.0 - self.momentum) * self.running_mean[c] + self.momentum * mean[c];
+                        (1.0 - self.momentum) * self.running_mean[c] + self.momentum * st.mean[c];
                 }
-                let out = apply_affine(&xhat, &lay, &self.gamma.value, &self.beta.value);
-                self.cache = Some(cache);
-                out
+                st.affine_into(&mut out, &self.gamma.value, &self.beta.value);
             }
             Mode::Eval => {
-                let mut out = input.clone();
-                for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
+                invalidate_cache(&mut self.state.xhat);
+                for (i, (o, &x)) in out
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(input.as_slice())
+                    .enumerate()
+                {
                     let (_, c) = coords(i, &lay);
-                    let xh = (*v - self.running_mean[c]) / (self.running_var[c] + EPS).sqrt();
-                    *v = self.gamma.value.as_slice()[c] * xh + self.beta.value.as_slice()[c];
+                    let xh = (x - self.running_mean[c]) / (self.running_var[c] + EPS).sqrt();
+                    *o = self.gamma.value.as_slice()[c] * xh + self.beta.value.as_slice()[c];
                 }
-                self.cache = None;
-                out
             }
         }
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ghat = grad_out.clone();
-        self.backward_into(&mut ghat);
-        ghat
+        out
     }
 
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut ghat = ws.take_copy(grad_out, grad_out.dims());
-        self.backward_into(&mut ghat);
+        let channels = self.state.lay.c;
+        self.state.backward(
+            &mut ghat,
+            &mut self.gamma,
+            &mut self.beta,
+            channels,
+            |_, c| c,
+            "backward called before training-mode forward on batch_norm",
+        );
         ghat
     }
 
@@ -426,60 +409,33 @@ macro_rules! sample_group_norm {
             groups: usize,
             gamma: Param,
             beta: Param,
-            cache: Option<NormCache>,
-            scratch: NormScratch,
+            state: NormState,
         }
 
         norm_common_impl!($ty);
 
-        impl $ty {
-            /// Shared backward kernel: transforms `ĝ` (initially the output
-            /// gradient) into the input gradient in place, accumulating
-            /// `dγ`/`dβ`.
-            fn backward_into(&mut self, ghat: &mut Tensor) {
-                let cache = self
-                    .cache
-                    .as_ref()
-                    .expect(concat!("backward called before forward on ", $tag));
-                let lay = NormLayout {
-                    n: cache.lay_n,
-                    c: cache.lay_c,
-                    s: cache.lay_s,
-                };
-                let groups = self.groups;
-                let n_groups = ($n_groups)(&lay, groups);
-                let gof = ($group_of)(lay, groups);
-                for (i, v) in ghat.as_mut_slice().iter_mut().enumerate() {
-                    let (_, c) = coords(i, &lay);
-                    self.gamma.grad.as_mut_slice()[c] += *v * cache.xhat.as_slice()[i];
-                    self.beta.grad.as_mut_slice()[c] += *v;
-                    *v *= self.gamma.value.as_slice()[c];
-                }
-                normalize_backward(ghat, cache, n_groups, &gof, &mut self.scratch);
-            }
-        }
-
         impl Layer for $ty {
-            fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+            fn forward_ws(&mut self, input: &Tensor, _mode: Mode, ws: &mut Workspace) -> Tensor {
                 let lay = layout(input, self.num_features);
                 let groups = self.groups;
                 let n_groups = ($n_groups)(&lay, groups);
-                let gof = ($group_of)(lay, groups);
-                let (xhat, cache) = normalize(input, &lay, n_groups, &gof);
-                let out = apply_affine(&xhat, &lay, &self.gamma.value, &self.beta.value);
-                self.cache = Some(cache);
+                self.state.normalize(input, lay, n_groups, ($group_of)(lay, groups));
+                let mut out = ws.take_tensor(input.dims());
+                self.state.affine_into(&mut out, &self.gamma.value, &self.beta.value);
                 out
-            }
-
-            fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-                let mut ghat = grad_out.clone();
-                self.backward_into(&mut ghat);
-                ghat
             }
 
             fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
                 let mut ghat = ws.take_copy(grad_out, grad_out.dims());
-                self.backward_into(&mut ghat);
+                let (lay, groups) = (self.state.lay, self.groups);
+                self.state.backward(
+                    &mut ghat,
+                    &mut self.gamma,
+                    &mut self.beta,
+                    ($n_groups)(&lay, groups),
+                    ($group_of)(lay, groups),
+                    concat!("backward called before forward on ", $tag),
+                );
                 ghat
             }
 
@@ -523,8 +479,7 @@ impl LayerNorm {
             groups: 1,
             gamma: Param::new(Tensor::ones(&[num_features]), ParamKind::NormGain),
             beta: Param::new(Tensor::zeros(&[num_features]), ParamKind::NormBias),
-            cache: None,
-            scratch: NormScratch::default(),
+            state: NormState::default(),
         }
     }
 }
@@ -552,8 +507,7 @@ impl InstanceNorm {
             groups: 1,
             gamma: Param::new(Tensor::ones(&[num_features]), ParamKind::NormGain),
             beta: Param::new(Tensor::zeros(&[num_features]), ParamKind::NormBias),
-            cache: None,
-            scratch: NormScratch::default(),
+            state: NormState::default(),
         }
     }
 }
@@ -586,8 +540,7 @@ impl GroupNorm {
             groups,
             gamma: Param::new(Tensor::ones(&[num_features]), ParamKind::NormGain),
             beta: Param::new(Tensor::zeros(&[num_features]), ParamKind::NormBias),
-            cache: None,
-            scratch: NormScratch::default(),
+            state: NormState::default(),
         }
     }
 }

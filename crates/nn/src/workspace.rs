@@ -8,17 +8,19 @@ use tensor::Tensor;
 /// `inject → forward → restore` trials per Bayesian-optimization candidate.
 /// Without reuse, every `Dense`/`Conv2d`/activation output is a fresh heap
 /// allocation, making the hot path allocator-bound instead of FLOP-bound.
-/// A `Workspace` breaks that: layers obtain output buffers from the pool
-/// via [`Layer::forward_ws`](crate::Layer::forward_ws) and callers return
-/// them with [`Workspace::recycle`], so after a warm-up trial the steady
-/// state performs **zero** heap allocations in the forward pass.
+/// A `Workspace` breaks that: every layer implements its passes over the
+/// pool ([`Layer::forward_ws`](crate::Layer::forward_ws) and
+/// [`Layer::backward_ws`](crate::Layer::backward_ws); the plain `forward`
+/// and `backward` just hand them a fresh one) and callers return outputs
+/// with [`Workspace::recycle`], so after a warm-up trial the steady state
+/// performs **zero** heap allocations.
 ///
 /// Buffers are handed out best-fit (smallest capacity that holds the
 /// request); because an evaluation pass requests the same sizes in the
 /// same order every trial, the pool stabilizes after the first pass.
 ///
-/// Each Monte-Carlo worker thread owns its own `Workspace` ("per replica"),
-/// so no synchronization is involved.
+/// Each Monte-Carlo worker thread owns its own `Workspace` ("per replica",
+/// see `reram::monte_carlo`), so no synchronization is involved.
 ///
 /// # Example
 ///

@@ -534,9 +534,6 @@ impl DriftModel for CompositeFault {
     }
 }
 
-/// Former name of [`CompositeFault`].
-pub type CompositeDrift = CompositeFault;
-
 #[cfg(test)]
 mod tests {
     use super::*;

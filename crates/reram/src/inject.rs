@@ -1,6 +1,6 @@
 //! Snapshot/inject/restore machinery and Monte-Carlo drift evaluation.
 
-use nn::Layer;
+use nn::{Layer, Workspace};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use tensor::Tensor;
@@ -257,23 +257,6 @@ impl FaultInjector {
         });
         Ok(())
     }
-
-    /// Runs `f` on a drifted copy of the network, restoring the pristine
-    /// weights before returning.
-    pub fn with_drift<R>(
-        network: &mut dyn Layer,
-        model: &dyn DriftModel,
-        rng: &mut dyn RngCore,
-        f: impl FnOnce(&mut dyn Layer) -> R,
-    ) -> R {
-        let snapshot = FaultInjector::snapshot(network);
-        FaultInjector::inject(network, model, rng);
-        let result = f(network);
-        snapshot
-            .restore(network)
-            .expect("snapshot was taken from this network");
-        result
-    }
 }
 
 /// Summary statistics of a Monte-Carlo drift evaluation (Eq. 4).
@@ -354,26 +337,30 @@ pub fn mix_seed(master: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The RNG seed of Monte-Carlo trial `t` under master seed `seed`.
+/// Monte-Carlo marginalization of a metric over drift distributions — the
+/// tractable estimator of the paper's Eq. 3/4, and the one executor every
+/// drift evaluation runs through:
 ///
-/// Shared by [`monte_carlo`] and [`monte_carlo_parallel`] so the two
-/// produce bit-identical trial streams.
-fn trial_seed(seed: u64, t: usize) -> u64 {
-    mix_seed(seed, t as u64)
-}
-
-/// Monte-Carlo marginalization of a metric over the drift distribution
-/// (the tractable estimator of the paper's Eq. 3/4):
+/// `u_l ≈ (1/T) Σ_t metric(f(drift_l,t(θ)))`
 ///
-/// `u ≈ (1/T) Σ_t metric(f(θ·e^{λ_t}))`
+/// The sample grid is `levels × trials`. Each level is a fault model with
+/// its own master seed, and trial `t` of a level draws from
+/// `ChaCha8Rng::seed_from_u64(mix_seed(level_seed, t))` (see
+/// [`mix_seed`]). Every sample drifts straight from one pristine snapshot
+/// ([`FaultInjector::inject_from`]), so no per-sample restore pass runs.
 ///
-/// Each trial drifts from the same pristine snapshot with an independent
-/// seed derived from `seed` via [`mix_seed`], and the network is restored
-/// afterwards.
+/// `workers <= 1` runs in place on `network` with one [`Workspace`] and
+/// restores the pristine weights afterwards. More workers each own one
+/// replica ([`Layer::clone_box`]) and one `Workspace`, and take samples
+/// round-robin; `network` is left untouched. The metric receives the
+/// drifted network and the worker's workspace.
+///
+/// Returns the per-sample values level-major (`values[l * trials + t]`),
+/// bit-identical for every worker count.
 ///
 /// # Panics
 ///
-/// Panics if `trials` is zero.
+/// Panics if `trials` is zero, or if a worker thread panics.
 ///
 /// # Example
 ///
@@ -387,110 +374,79 @@ fn trial_seed(seed: u64, t: usize) -> u64 {
 /// let mut rng = ChaCha8Rng::seed_from_u64(0);
 /// let mut net = Dense::new(2, 2, &mut rng);
 /// let x = Tensor::ones(&[1, 2]);
-/// let stats = monte_carlo(&mut net, &LogNormalDrift::new(0.3), 8, 7, |n| {
-///     n.forward(&x, Mode::Eval).sum()
+/// let (low, high) = (LogNormalDrift::new(0.1), LogNormalDrift::new(0.6));
+/// let values = monte_carlo(&mut net, &[(&low, 7), (&high, 8)], 4, 1, |n, ws| {
+///     let y = n.forward_ws(&x, Mode::Eval, ws);
+///     let s = y.sum();
+///     ws.recycle(y);
+///     s
 /// });
-/// assert_eq!(stats.values.len(), 8);
+/// assert_eq!(values.len(), 8); // level-major: 4 at σ=0.1, then 4 at σ=0.6
 /// ```
-pub fn monte_carlo(
+pub fn monte_carlo<F>(
     network: &mut dyn Layer,
-    model: &dyn DriftModel,
+    levels: &[(&dyn DriftModel, u64)],
     trials: usize,
-    seed: u64,
-    mut metric: impl FnMut(&mut dyn Layer) -> f32,
-) -> McStats {
-    assert!(trials > 0, "Monte-Carlo needs at least one trial");
-    let snapshot = FaultInjector::snapshot(network);
-    let mut values = Vec::with_capacity(trials);
-    // Fused hot loop: each trial drifts directly from the pristine
-    // snapshot, so the per-trial restore pass (and its weight traffic)
-    // disappears; a steady-state trial allocates nothing in inject.
-    for t in 0..trials {
-        let mut rng = ChaCha8Rng::seed_from_u64(trial_seed(seed, t));
-        FaultInjector::inject_from(&snapshot, network, model, &mut rng)
-            .expect("snapshot was taken from this network");
-        values.push(metric(network));
-    }
-    snapshot
-        .restore_into(network)
-        .expect("snapshot was taken from this network");
-    McStats::from_values(values)
-}
-
-/// [`monte_carlo`] with the independent drift trials fanned out over
-/// `workers` scoped threads.
-///
-/// Each worker clones the pristine network once
-/// ([`nn::Layer::clone_box`]), then repeatedly injects drift into its
-/// replica, evaluates `metric`, and restores from a shared
-/// [`WeightSnapshot`]. Trial `t` uses the same RNG seed as in the serial
-/// driver and results are reassembled in trial order, so for any worker
-/// count the returned statistics are **bit-identical** to
-/// `monte_carlo(..)` with the same arguments — parallelism is a pure
-/// wall-clock optimization of the Eq. 4 hot path.
-///
-/// `workers <= 1` runs the serial driver in place (no clones).
-///
-/// # Panics
-///
-/// Panics if `trials` is zero, or if a worker thread panics.
-pub fn monte_carlo_parallel(
-    network: &mut dyn Layer,
-    model: &dyn DriftModel,
-    trials: usize,
-    seed: u64,
     workers: usize,
-    metric: &(dyn Fn(&mut dyn Layer) -> f32 + Sync),
-) -> McStats {
+    metric: F,
+) -> Vec<f32>
+where
+    F: Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync,
+{
     assert!(trials > 0, "Monte-Carlo needs at least one trial");
-    let workers = workers.min(trials);
+    let snapshot = FaultInjector::snapshot(network);
+    let total = levels.len() * trials;
+    let workers = workers.min(total);
+    let sample = |k: usize, net: &mut dyn Layer, ws: &mut Workspace| {
+        let (model, level_seed) = levels[k / trials];
+        let mut rng = ChaCha8Rng::seed_from_u64(mix_seed(level_seed, (k % trials) as u64));
+        FaultInjector::inject_from(&snapshot, net, model, &mut rng)
+            .expect("snapshot was taken from this network");
+        metric(net, ws)
+    };
+
     if workers <= 1 {
-        return monte_carlo(network, model, trials, seed, metric);
+        let mut ws = Workspace::new();
+        let values = (0..total).map(|k| sample(k, network, &mut ws)).collect();
+        snapshot
+            .restore_into(network)
+            .expect("snapshot was taken from this network");
+        return values;
     }
 
-    let snapshot = FaultInjector::snapshot(network);
-    let snapshot_ref = &snapshot;
     // `dyn Layer` is Send but not Sync, so replicas are cloned here and
     // moved into their worker threads rather than cloned from a shared
     // reference inside them.
     let replicas: Vec<Box<dyn Layer>> = (0..workers).map(|_| network.clone_box()).collect();
-    let mut values = vec![0.0f32; trials];
+    let mut values = vec![0.0f32; total];
     std::thread::scope(|scope| {
+        let sample = &sample;
         let handles: Vec<_> = replicas
             .into_iter()
             .enumerate()
             .map(|(w, mut replica)| {
                 scope.spawn(move || {
-                    let mut local = Vec::with_capacity(trials / workers + 1);
-                    let mut t = w;
-                    // Same fused loop as the serial driver: drift straight
-                    // from the shared pristine snapshot, no per-trial
-                    // restore. The replica is dropped afterwards, so no
-                    // final restore is needed either.
-                    while t < trials {
-                        let mut rng = ChaCha8Rng::seed_from_u64(trial_seed(seed, t));
-                        FaultInjector::inject_from(snapshot_ref, replica.as_mut(), model, &mut rng)
-                            .expect("snapshot was taken from this network's replica");
-                        local.push((t, metric(replica.as_mut())));
-                        t += workers;
-                    }
-                    local
+                    let mut ws = Workspace::new();
+                    (w..total)
+                        .step_by(workers)
+                        .map(|k| (k, sample(k, replica.as_mut(), &mut ws)))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
         for handle in handles {
-            for (t, v) in handle.join().expect("Monte-Carlo worker panicked") {
-                values[t] = v;
+            for (k, v) in handle.join().expect("Monte-Carlo worker panicked") {
+                values[k] = v;
             }
         }
     });
-    McStats::from_values(values)
+    values
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GaussianAdditive, LogNormalDrift, StuckAtFault};
+    use crate::{GaussianAdditive, LogNormalDrift};
     use nn::{Dense, Mode, Sequential};
     use rand::SeedableRng;
 
@@ -545,87 +501,100 @@ mod tests {
         assert!(changed > 0, "injection must modify weights");
     }
 
-    #[test]
-    fn with_drift_restores_automatically() {
-        let mut net = test_net(4);
-        let x = Tensor::ones(&[1, 3]);
-        let clean = net.forward(&x, Mode::Eval);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let _ =
-            FaultInjector::with_drift(&mut net, &StuckAtFault::new(0.9, 0.0, 0.0), &mut rng, |n| {
-                n.forward(&x, Mode::Eval).sum()
-            });
-        let restored = net.forward(&x, Mode::Eval);
-        assert_eq!(clean.as_slice(), restored.as_slice());
+    /// Sum of the network output on `x`, through the sample's workspace.
+    fn output_sum(x: &Tensor) -> impl Fn(&mut dyn Layer, &mut Workspace) -> f32 + Sync + '_ {
+        move |n, ws| {
+            let y = n.forward_ws(x, Mode::Eval, ws);
+            let s = y.sum();
+            ws.recycle(y);
+            s
+        }
     }
 
     #[test]
     fn monte_carlo_sigma_zero_has_no_variance() {
         let mut net = test_net(6);
         let x = Tensor::ones(&[2, 3]);
-        let stats = monte_carlo(&mut net, &LogNormalDrift::new(0.0), 5, 1, |n| {
-            n.forward(&x, Mode::Eval).sum()
-        });
-        assert!(stats.std < 1e-9, "σ=0 drift must be deterministic");
+        let values = monte_carlo(
+            &mut net,
+            &[(&LogNormalDrift::new(0.0), 1)],
+            5,
+            1,
+            output_sum(&x),
+        );
+        assert!(
+            McStats::from_values(values).std < 1e-9,
+            "σ=0 drift must be deterministic"
+        );
     }
 
     #[test]
     fn monte_carlo_trials_are_independent() {
         let mut net = test_net(7);
         let x = Tensor::ones(&[2, 3]);
-        let stats = monte_carlo(&mut net, &LogNormalDrift::new(0.8), 16, 2, |n| {
-            n.forward(&x, Mode::Eval).sum()
-        });
-        assert_eq!(stats.values.len(), 16);
-        assert!(stats.std > 0.0, "independent drifted trials must vary");
+        let values = monte_carlo(
+            &mut net,
+            &[(&LogNormalDrift::new(0.8), 2)],
+            16,
+            1,
+            output_sum(&x),
+        );
+        assert_eq!(values.len(), 16);
+        assert!(
+            McStats::from_values(values).std > 0.0,
+            "independent drifted trials must vary"
+        );
     }
 
     #[test]
     fn monte_carlo_is_reproducible() {
         let x = Tensor::ones(&[2, 3]);
-        let mut net1 = test_net(8);
-        let s1 = monte_carlo(&mut net1, &LogNormalDrift::new(0.5), 4, 11, |n| {
-            n.forward(&x, Mode::Eval).sum()
-        });
-        let mut net2 = test_net(8);
-        let s2 = monte_carlo(&mut net2, &LogNormalDrift::new(0.5), 4, 11, |n| {
-            n.forward(&x, Mode::Eval).sum()
-        });
-        assert_eq!(s1.values, s2.values);
+        let drift = LogNormalDrift::new(0.5);
+        let s1 = monte_carlo(&mut test_net(8), &[(&drift, 11)], 4, 1, output_sum(&x));
+        let s2 = monte_carlo(&mut test_net(8), &[(&drift, 11)], 4, 1, output_sum(&x));
+        assert_eq!(s1, s2);
+    }
+
+    /// A multi-level grid is the level-major concatenation of one run per
+    /// level under that level's master seed.
+    #[test]
+    fn monte_carlo_grid_is_level_major() {
+        let x = Tensor::ones(&[2, 3]);
+        let (a, b) = (LogNormalDrift::new(0.3), GaussianAdditive::new(0.4));
+        let grid = monte_carlo(&mut test_net(10), &[(&a, 3), (&b, 4)], 5, 1, output_sum(&x));
+        let mut expected = monte_carlo(&mut test_net(10), &[(&a, 3)], 5, 1, output_sum(&x));
+        expected.extend(monte_carlo(
+            &mut test_net(10),
+            &[(&b, 4)],
+            5,
+            1,
+            output_sum(&x),
+        ));
+        assert_eq!(grid, expected);
     }
 
     #[test]
     fn parallel_monte_carlo_matches_serial_bitwise() {
         let x = Tensor::ones(&[2, 3]);
-        let metric = move |n: &mut dyn Layer| n.forward(&x, Mode::Eval).sum();
-        for workers in [1usize, 2, 3, 8, 32] {
-            let mut net_a = test_net(12);
-            let serial = monte_carlo(&mut net_a, &LogNormalDrift::new(0.7), 9, 5, &metric);
-            let mut net_b = test_net(12);
-            let parallel = monte_carlo_parallel(
-                &mut net_b,
-                &LogNormalDrift::new(0.7),
-                9,
-                5,
-                workers,
-                &metric,
-            );
-            assert_eq!(
-                serial.values, parallel.values,
-                "{workers} workers diverged from serial"
-            );
+        let (a, b) = (LogNormalDrift::new(0.7), GaussianAdditive::new(0.2));
+        let levels: [(&dyn DriftModel, u64); 2] = [(&a, 5), (&b, 6)];
+        let serial = monte_carlo(&mut test_net(12), &levels, 9, 1, output_sum(&x));
+        for workers in [2usize, 3, 8, 32] {
+            let parallel = monte_carlo(&mut test_net(12), &levels, 9, workers, output_sum(&x));
+            assert_eq!(serial, parallel, "{workers} workers diverged from serial");
         }
     }
 
     #[test]
-    fn parallel_monte_carlo_leaves_network_untouched() {
-        let mut net = test_net(13);
+    fn monte_carlo_leaves_network_pristine() {
         let x = Tensor::ones(&[1, 3]);
-        let clean = net.forward(&x, Mode::Eval);
-        let metric = move |n: &mut dyn Layer| n.forward(&x, Mode::Eval).sum();
-        let _ = monte_carlo_parallel(&mut net, &GaussianAdditive::new(0.4), 6, 3, 3, &metric);
-        let x = Tensor::ones(&[1, 3]);
-        assert_eq!(clean.as_slice(), net.forward(&x, Mode::Eval).as_slice());
+        for workers in [1usize, 3] {
+            let mut net = test_net(13);
+            let clean = net.forward(&x, Mode::Eval);
+            let drift = GaussianAdditive::new(0.4);
+            let _ = monte_carlo(&mut net, &[(&drift, 3)], 6, workers, output_sum(&x));
+            assert_eq!(clean.as_slice(), net.forward(&x, Mode::Eval).as_slice());
+        }
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   and normalization γ/β — the paper's "Achilles heel"), and restores the
 //!   pristine weights afterwards. Structural mismatches surface as
 //!   recoverable [`FaultError`]s, not panics.
-//! * [`monte_carlo`] / [`monte_carlo_parallel`] — the Monte-Carlo
-//!   marginalization of Eq. (4): evaluate a metric under `T` independent
-//!   drift samples, serially or fanned out over scoped worker threads with
-//!   per-thread network replicas (bit-identical results either way).
+//! * [`monte_carlo`] — the Monte-Carlo marginalization of Eq. (4) and the
+//!   one executor behind every drift evaluation: a metric evaluated under
+//!   `T` independent drift samples per fault level, in place or fanned out
+//!   over scoped worker threads with per-thread network replicas and
+//!   workspaces (bit-identical results either way).
 //! * [`Crossbar`] — a device-level model (differential conductance pairs,
 //!   programming noise, quantized levels, read noise) that gives the
 //!   ReRAM-V baseline something to diagnose and re-program.
@@ -64,11 +65,9 @@ mod spec;
 
 pub use crossbar::{Crossbar, CrossbarConfig, DriftReport};
 pub use drift::{
-    BitFlipFault, CompositeDrift, CompositeFault, DeviceVariation, DriftModel, GaussianAdditive,
-    LevelQuantization, LogNormalDrift, StuckAtFault, UniformAdditive, UniformDrift,
+    BitFlipFault, CompositeFault, DeviceVariation, DriftModel, GaussianAdditive, LevelQuantization,
+    LogNormalDrift, StuckAtFault, UniformAdditive, UniformDrift,
 };
 pub use error::FaultError;
-pub use inject::{
-    mix_seed, monte_carlo, monte_carlo_parallel, FaultInjector, McStats, WeightSnapshot,
-};
+pub use inject::{mix_seed, monte_carlo, FaultInjector, McStats, WeightSnapshot};
 pub use spec::FaultSpec;

@@ -1,5 +1,5 @@
 //! Integration tests pinning the fused inject-from-snapshot Monte-Carlo
-//! hot path: golden values captured from the pre-refactor implementation
+//! executor: golden values captured from the pre-refactor implementation
 //! (separate inject + per-trial restore, allocating matmul), fused ≡
 //! unfused equivalence, and serial ≡ parallel bit-identity for every fault
 //! model in the suite.
@@ -7,7 +7,7 @@
 use nn::{Dense, Layer, Mode, Relu, Sequential, Workspace};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use reram::{monte_carlo, monte_carlo_parallel, DriftModel, FaultInjector};
+use reram::{monte_carlo, DriftModel, FaultInjector};
 use tensor::Tensor;
 
 fn test_net(seed: u64) -> Sequential {
@@ -45,7 +45,7 @@ fn model_suite() -> Vec<(&'static str, Box<dyn DriftModel>)> {
     ]
 }
 
-/// Per-trial metric bits of `monte_carlo(test_net(42), model, 6, 99, Σ f(1))`
+/// Per-trial metric bits of `monte_carlo(test_net(42), [(model, 99)], 6, Σ f(1))`
 /// captured from the implementation **before** the fused hot path landed
 /// (commit with separate `inject` + per-trial `restore`). The refactor
 /// contract is bit-identity: same trial seeds, same arithmetic order.
@@ -117,10 +117,10 @@ fn fused_path_reproduces_pre_refactor_golden_values() {
             .expect("golden model present in suite")
             .1;
         let mut net = test_net(42);
-        let stats = monte_carlo(&mut net, model.as_ref(), 6, 99, |n| {
+        let values = monte_carlo(&mut net, &[(model.as_ref(), 99)], 6, 1, |n, _| {
             n.forward(&x, Mode::Eval).sum()
         });
-        let got: Vec<u32> = stats.values.iter().map(|v| v.to_bits()).collect();
+        let got: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, expected_bits.to_vec(), "{name} diverged from golden");
     }
 }
@@ -132,15 +132,14 @@ fn workspace_metric_reproduces_golden_values() {
     let x = Tensor::ones(&[2, 3]);
     let model = reram::LogNormalDrift::new(0.5);
     let mut net = test_net(42);
-    let mut ws = Workspace::new();
-    let stats = monte_carlo(&mut net, &model, 6, 99, move |n| {
-        let y = n.forward_ws(&x, Mode::Eval, &mut ws);
+    let values = monte_carlo(&mut net, &[(&model, 99)], 6, 1, |n, ws| {
+        let y = n.forward_ws(&x, Mode::Eval, ws);
         let s = y.sum();
         ws.recycle(y);
         s
     });
     let golden = &GOLDEN.iter().find(|(n, _)| *n == "lognormal").unwrap().1;
-    let got: Vec<u32> = stats.values.iter().map(|v| v.to_bits()).collect();
+    let got: Vec<u32> = values.iter().map(|v| v.to_bits()).collect();
     assert_eq!(got, golden.to_vec());
 }
 
@@ -181,51 +180,42 @@ fn inject_from_equals_restore_then_inject_for_every_model() {
     }
 }
 
-/// Serial and parallel drivers stay bit-identical on the fused path for
+/// Serial and parallel runs stay bit-identical on the fused path for
 /// every fault-model variant and worker counts {1, 2, 5}.
 #[test]
 fn parallel_matches_serial_for_every_model_and_worker_count() {
     let x = Tensor::ones(&[2, 3]);
-    let metric = move |n: &mut dyn Layer| n.forward(&x, Mode::Eval).sum();
+    let metric = |n: &mut dyn Layer, ws: &mut Workspace| {
+        let y = n.forward_ws(&x, Mode::Eval, ws);
+        let s = y.sum();
+        ws.recycle(y);
+        s
+    };
     for (name, model) in &model_suite() {
         let mut net = test_net(21);
-        let serial = monte_carlo(&mut net, model.as_ref(), 7, 13, &metric);
+        let serial = monte_carlo(&mut net, &[(model.as_ref(), 13)], 7, 1, metric);
         for workers in [1usize, 2, 5] {
             let mut net = test_net(21);
-            let parallel = monte_carlo_parallel(&mut net, model.as_ref(), 7, 13, workers, &metric);
+            let parallel = monte_carlo(&mut net, &[(model.as_ref(), 13)], 7, workers, metric);
             assert_eq!(
-                serial.values, parallel.values,
+                serial, parallel,
                 "{name} with {workers} workers diverged from serial"
             );
-            assert_eq!(
-                serial.mean.to_bits(),
-                parallel.mean.to_bits(),
-                "{name} mean"
-            );
-            assert_eq!(serial.std.to_bits(), parallel.std.to_bits(), "{name} std");
         }
     }
 }
 
-/// The fused drivers must still hand the network back pristine.
+/// The executor must hand the network back pristine.
 #[test]
 fn fused_drivers_restore_the_network() {
     let x = Tensor::ones(&[1, 3]);
     for workers in [1usize, 3] {
         let mut net = test_net(30);
         let clean = net.forward(&x, Mode::Eval);
-        let metric = {
-            let x = x.clone();
-            move |n: &mut dyn Layer| n.forward(&x, Mode::Eval).sum()
-        };
-        let _ = monte_carlo_parallel(
-            &mut net,
-            &reram::LogNormalDrift::new(0.9),
-            5,
-            2,
-            workers,
-            &metric,
-        );
+        let drift = reram::LogNormalDrift::new(0.9);
+        let _ = monte_carlo(&mut net, &[(&drift, 2)], 5, workers, |n, _| {
+            n.forward(&x, Mode::Eval).sum()
+        });
         assert_eq!(
             clean.as_slice(),
             net.forward(&x, Mode::Eval).as_slice(),

@@ -101,21 +101,20 @@ fn steady_state_trial_allocates_nothing() {
     );
 
     // Sanity: the allocation-free loop computes the same trial values as
-    // the plain (allocating) metric through the public driver.
+    // a fresh-pool metric through the public executor.
     snapshot.restore_into(&mut net).unwrap();
-    let x2 = x.clone();
-    let reference = monte_carlo(&mut net, &model, 4, 9, |n| n.forward(&x2, Mode::Eval).sum());
-    assert_eq!(&reference.values[..2], &warm[..2]);
+    let reference = monte_carlo(&mut net, &[(&model, 9)], 4, 1, |n, _| {
+        n.forward(&x, Mode::Eval).sum()
+    });
+    assert_eq!(&reference[..2], &warm[..2]);
 
     // Whole-driver check: `monte_carlo`'s allocation count must not scale
     // with the trial count (fixed setup cost only: snapshot + one values
     // vec + workspace warm-up inside the first trials).
     let count_driver = |trials: usize, net: &mut Sequential| -> u64 {
-        let x = x.clone();
-        let mut ws = Workspace::new();
         let (before, _) = allocs();
-        let _ = monte_carlo(net, &model, trials, 9, move |n| {
-            let y = n.forward_ws(&x, Mode::Eval, &mut ws);
+        let _ = monte_carlo(net, &[(&model, 9)], trials, 1, |n, ws| {
+            let y = n.forward_ws(&x, Mode::Eval, ws);
             let s = y.sum();
             ws.recycle(y);
             s

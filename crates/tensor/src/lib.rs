@@ -41,7 +41,7 @@ mod tensor;
 pub use conv::{col2im, col2im_into, im2col, im2col_into, Conv2dSpec};
 pub use error::TensorError;
 pub use linalg::{gemm_into, gemm_nt_into, gemm_tn_into, outer, Matmul};
-pub use ops::nan_low_cmp;
+pub use ops::{argmax_nan_low, nan_low_cmp};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, avg_pool2d_backward_into, avg_pool2d_into, max_pool2d,
     max_pool2d_backward, max_pool2d_into, Pool2dSpec,

@@ -28,6 +28,27 @@ pub fn nan_low_cmp(a: f32, b: f32) -> std::cmp::Ordering {
     }
 }
 
+/// Index of the largest value of `row` under [`nan_low_cmp`]: a NaN never
+/// wins (unless the whole row is NaN, when the last index does), and ties
+/// go to the last maximum. An empty row answers 0.
+///
+/// # Example
+///
+/// ```
+/// use tensor::argmax_nan_low;
+///
+/// assert_eq!(argmax_nan_low(&[0.1, f32::NAN, 0.7, 0.2]), 2);
+/// ```
+pub fn argmax_nan_low(row: &[f32]) -> usize {
+    row.iter()
+        .enumerate()
+        // NaN-low: a NaN logit can't tie-poison the comparator the way
+        // partial_cmp's Equal fallback did.
+        .max_by(|a, b| nan_low_cmp(*a.1, *b.1))
+        .map(|(i, _)| i)
+        .unwrap_or(0)
+}
+
 impl Tensor {
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
@@ -194,7 +215,8 @@ impl Tensor {
         out
     }
 
-    /// Index of the maximum element of each row of a rank-2 tensor.
+    /// Index of the maximum element of each row of a rank-2 tensor, under
+    /// [`argmax_nan_low`].
     ///
     /// # Panics
     ///
@@ -206,17 +228,7 @@ impl Tensor {
             "argmax_rows requires at least one column"
         );
         (0..self.dims()[0])
-            .map(|r| {
-                let row = self.row(r);
-                row.iter()
-                    .enumerate()
-                    // NaN-low: a NaN logit never wins the argmax (unless
-                    // the whole row is NaN), and can't tie-poison the
-                    // comparator the way partial_cmp's Equal fallback did.
-                    .max_by(|a, b| nan_low_cmp(*a.1, *b.1))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
+            .map(|r| argmax_nan_low(self.row(r)))
             .collect()
     }
 

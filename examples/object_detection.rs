@@ -67,16 +67,18 @@ fn main() {
     println!("{:<8}{:>8}", "sigma", "mAP");
     for sigma in [0.0f32, 0.2, 0.4, 0.6] {
         let snapshot = FaultInjector::snapshot(&mut det);
+        let drift = LogNormalDrift::new(sigma);
         let mut sum = 0.0;
         let trials = 5;
         for t in 0..trials {
             let mut drift_rng = ChaCha8Rng::seed_from_u64(100 + t);
-            FaultInjector::inject(&mut det, &LogNormalDrift::new(sigma), &mut drift_rng);
-            sum += map_at(&mut det, &test_set);
-            snapshot
-                .restore(&mut det)
+            FaultInjector::inject_from(&snapshot, &mut det, &drift, &mut drift_rng)
                 .expect("snapshot was taken from this network");
+            sum += map_at(&mut det, &test_set);
         }
+        snapshot
+            .restore_into(&mut det)
+            .expect("snapshot was taken from this network");
         println!("{sigma:<8}{:>7.1}%", sum / trials as f32 * 100.0);
     }
 }

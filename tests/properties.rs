@@ -176,8 +176,8 @@ proptest! {
         }
     }
 
-    /// Workspace-backed eval forward is bit-identical to the allocating
-    /// forward for arbitrary MLP geometry and inputs.
+    /// Eval forward through a recycled pool is bit-identical to a fresh
+    /// pool for arbitrary MLP geometry and inputs.
     #[test]
     fn forward_ws_matches_forward(
         input_dim in 1usize..6,

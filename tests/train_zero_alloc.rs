@@ -3,7 +3,9 @@
 //! a full SGD step — workspace forward, pooled loss gradient, workspace
 //! backward, in-place optimizer update — performs **zero** heap
 //! allocations, and whole epochs allocate nothing beyond that (allocation
-//! count independent of epoch count).
+//! count independent of epoch count). The Monte-Carlo objective the
+//! engine scores candidates with is pinned the same way: its allocation
+//! count is independent of the sample count.
 //!
 //! This binary runs without the libtest harness (`harness = false`):
 //! everything executes on the main thread, so the process-wide allocation
@@ -21,7 +23,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use baselines::train_step;
-use datasets::ped_scenes;
+use bayesft::DriftObjective;
+use datasets::{moons, ped_scenes};
 use models::{set_dropout_rates, DetectionLoss, LeNet5, Mlp, MlpConfig, TinyDetector};
 use nn::{Layer, Mode, Optimizer, Sgd, Workspace};
 use rand::SeedableRng;
@@ -80,7 +83,36 @@ fn epoch(
 
 fn main() {
     steady_state_training_step_allocates_nothing();
+    objective_allocations_do_not_scale_with_mc_samples();
     println!("train_zero_alloc: ok");
+}
+
+/// The engine's objective end to end: a serial `DriftObjective::evaluate`
+/// (inject from the snapshot, eval pass over pooled batches, row argmax)
+/// allocates a fixed set-up cost only, so eight Monte-Carlo samples cost
+/// exactly as many allocations as two — zero per marginal sample.
+fn objective_allocations_do_not_scale_with_mc_samples() {
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    // 150 rows: two full eval batches plus a remainder.
+    let data = moons(150, 0.1, &mut rng);
+    let mut mlp = Mlp::new(&MlpConfig::new(2, 2).hidden(16), &mut rng);
+    let (two, eight) = (DriftObjective::new(0.5, 2), DriftObjective::new(0.5, 8));
+    // Warm-up registers the kernels' telemetry metrics.
+    let _ = two.evaluate(&mut mlp, &data, 1);
+    let count = |obj: &DriftObjective, net: &mut Mlp| -> (u64, u64) {
+        let (a0, b0) = allocs();
+        let stats = obj.evaluate(net, &data, 1);
+        let (a1, b1) = allocs();
+        assert!(stats.mean.is_finite());
+        (a1 - a0, b1 - b0)
+    };
+    let (at_two, bytes_two) = count(&two, &mut mlp);
+    let (at_eight, bytes_eight) = count(&eight, &mut mlp);
+    assert_eq!(
+        at_two, at_eight,
+        "objective allocations grew with MC samples: {at_two} ({bytes_two} bytes) at 2 \
+         vs {at_eight} ({bytes_eight} bytes) at 8"
+    );
 }
 
 fn steady_state_training_step_allocates_nothing() {

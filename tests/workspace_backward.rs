@@ -1,9 +1,10 @@
 //! Bit-identity of the workspace train step (`Layer::forward_ws` in
 //! `Mode::Train`, `Layer::backward_ws`, pooled loss gradients, in-place
-//! optimizers) against the allocating `forward`/`backward` path, across
-//! every layer family and whole-model training loops — plus golden
-//! bit-value pins captured from the pre-refactor build, proving the
-//! refactor changed buffer provenance and nothing else.
+//! optimizers) through a recycled pool against the provided
+//! `forward`/`backward` (a fresh pool per call), across every layer family
+//! and whole-model training loops — plus golden bit-value pins captured
+//! from earlier builds, proving each refactor changed buffer provenance
+//! and nothing else.
 
 use baselines::{
     train_awp, train_epochs, train_erm, train_ftna, train_step, AwpConfig, Codebook, TrainConfig,
@@ -36,7 +37,7 @@ fn assert_bwd_matches(layer: &dyn Layer, x: &Tensor, what: &str) {
     assert_eq!(
         backward_ws_divergence(layer, x, Mode::Train),
         0,
-        "{what}: workspace train step diverged from the allocating path"
+        "{what}: recycled-pool train step diverged from a fresh pool"
     );
 }
 
@@ -135,8 +136,8 @@ fn whole_models_match() {
     assert_bwd_matches(&lenet, &img, "lenet5");
 }
 
-/// Legacy-shaped training loop — plain `forward`, allocating loss,
-/// `backward`, optimizer step — the reference the workspace step must
+/// Plain training loop — provided `forward`, allocating loss, provided
+/// `backward`, optimizer step — the reference the pooled step must
 /// reproduce bit for bit.
 fn legacy_steps(net: &mut dyn Layer, x: &Tensor, labels: &[usize], opt: &mut dyn Optimizer) {
     for _ in 0..10 {

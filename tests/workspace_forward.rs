@@ -1,7 +1,7 @@
-//! Bit-identity of the workspace-backed eval forward (`Layer::forward_ws`)
-//! against the allocating `Layer::forward`, across every layer family and
-//! model architecture in the workspace, plus end-to-end use inside the
-//! Monte-Carlo drivers.
+//! Buffer-reuse safety of the eval forward: `Layer::forward_ws` through a
+//! recycled pool is bit-identical to `Layer::forward` (a fresh pool per
+//! call) across every layer family and model architecture in the
+//! workspace — no layer may read the stale contents of a recycled buffer.
 
 use models::{LeNet5, Mlp, MlpConfig};
 use nn::{
@@ -13,8 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use tensor::Tensor;
 
 /// Asserts `forward_ws` ≡ `forward` bitwise on `x`, twice (the second pass
-/// exercises recycled buffers), and returns the pooled-buffer count so
-/// callers can check the pool stabilized.
+/// exercises recycled buffers), and returns the pooled-buffer count.
 fn assert_ws_matches(layer: &mut dyn Layer, x: &Tensor) -> usize {
     let reference = layer.forward(x, Mode::Eval);
     let mut ws = Workspace::new();
@@ -155,15 +154,15 @@ fn train_mode_falls_back_and_keeps_backward_working() {
         Box::new(Dense::new(8, 2, &mut rng)),
     ]);
     let x = Tensor::randn(&[4, 5], 0.0, 1.0, &mut rng);
-    // Train through forward_ws (falls back to caching forward internally),
-    // then backward must work as usual.
+    // Train through forward_ws (caches refreshed in place), then the
+    // provided backward must work as usual.
     let mut ws = Workspace::new();
     let y = net.forward_ws(&x, Mode::Train, &mut ws);
     let g = net.backward(&Tensor::ones(y.dims()));
     assert_eq!(g.dims(), x.dims());
 
-    // Train-mode dropout through forward_ws samples a mask exactly like
-    // plain forward with the same RNG state.
+    // Train-mode dropout samples the same mask through a fresh pool and a
+    // recycled one, given the same RNG state.
     let mut a = Dropout::new(0.5, 42);
     let mut b = Dropout::new(0.5, 42);
     let xa = a.forward(&x, Mode::Train);
