@@ -59,7 +59,7 @@ pub enum OutputDecoder {
 
 impl OutputDecoder {
     /// The class predicted by one row of raw network output.
-    pub fn decode_row(&self, out: &[f32]) -> usize {
+    pub(crate) fn decode_row(&self, out: &[f32]) -> usize {
         match self {
             OutputDecoder::Softmax => tensor::argmax_nan_low(out),
             OutputDecoder::Codebook(cb) => cb.decode(out),
