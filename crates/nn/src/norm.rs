@@ -216,7 +216,7 @@ impl NormState {
     /// # Panics
     ///
     /// Panics with `missing_tape` if no forward recorded a tape.
-    fn backward(
+    fn backprop(
         &mut self,
         ghat: &mut Tensor,
         gamma: &mut Param,
@@ -367,7 +367,7 @@ impl Layer for BatchNorm {
     fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut ghat = ws.take_copy(grad_out, grad_out.dims());
         let channels = self.state.lay.c;
-        self.state.backward(
+        self.state.backprop(
             &mut ghat,
             &mut self.gamma,
             &mut self.beta,
@@ -428,7 +428,7 @@ macro_rules! sample_group_norm {
             fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
                 let mut ghat = ws.take_copy(grad_out, grad_out.dims());
                 let (lay, groups) = (self.state.lay, self.groups);
-                self.state.backward(
+                self.state.backprop(
                     &mut ghat,
                     &mut self.gamma,
                     &mut self.beta,
