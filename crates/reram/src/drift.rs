@@ -1,31 +1,125 @@
 //! Weight-drift and device-fault distributions.
 
-use rand::Rng;
+use rand::RngCore;
+use rand_chacha::ChaCha8Rng;
 
 use crate::FaultError;
+
+/// Stream words [`DriftModel::perturb`] holds on the stack; models that
+/// draw more per weight (long composite chains) use a heap buffer.
+const WEIGHT_WORDS: usize = 16;
+
+/// Stream words [`DriftModel::perturb_slice`] fills per refill of its
+/// stack buffer.
+const SLICE_WORDS: usize = 256;
 
 /// A memristance-drift distribution applied independently to each stored
 /// weight.
 ///
-/// Object-safe so experiments can mix models at run time; the RNG is passed
-/// as a dynamic trait object for the same reason.
+/// # Draw contract
+///
+/// A model draws exactly [`DriftModel::words`] uniform `u32` words from
+/// the RNG stream per weight, a count fixed per instance (a zero-spread
+/// model draws none). [`DriftModel::perturb_words`] maps a weight and its
+/// words to the drifted value: it is the one place each distribution's
+/// arithmetic lives. The per-weight [`DriftModel::perturb`] and the
+/// per-tensor [`DriftModel::perturb_slice`] are provided on top of it, so
+/// they consume the same words in the same order and agree bit for bit.
+///
+/// The trait is object-safe so experiments can mix models at run time.
+/// The injection hot path ([`crate::FaultInjector::inject_from`]) makes
+/// one virtual `perturb_slice` call per tensor. As a provided method it is
+/// compiled once per model type, so its inner loop calls that model's
+/// `perturb_words` directly, fed from block fills of the concrete
+/// [`ChaCha8Rng`]: the RNG is no longer dynamic there.
 pub trait DriftModel: Send + Sync {
-    /// Returns the drifted version of `value`.
-    fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32;
+    /// How many `u32` stream words this model draws per weight.
+    fn words(&self) -> usize;
+
+    /// Returns the drifted version of `value`, given the model's
+    /// [`DriftModel::words`] stream words for this weight.
+    fn perturb_words(&self, value: f32, words: &[u32]) -> f32;
 
     /// Short name for reports.
     fn name(&self) -> &'static str;
+
+    /// Returns the drifted version of `value`, drawing this weight's words
+    /// from `rng`.
+    fn perturb(&self, value: f32, rng: &mut dyn RngCore) -> f32 {
+        let n = self.words();
+        let mut stack = [0u32; WEIGHT_WORDS];
+        let mut heap = Vec::new();
+        let words = if n <= WEIGHT_WORDS {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, 0);
+            &mut heap[..]
+        };
+        for w in words.iter_mut() {
+            *w = rng.next_u32();
+        }
+        self.perturb_words(value, words)
+    }
+
+    /// Writes the drifted version of every `pristine` value to `out`, in
+    /// order: bit-identical to calling [`DriftModel::perturb`] per weight
+    /// on the same stream, and leaving `rng` at the same position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pristine` and `out` differ in length.
+    fn perturb_slice(&self, pristine: &[f32], out: &mut [f32], rng: &mut ChaCha8Rng) {
+        assert_eq!(pristine.len(), out.len(), "perturb_slice length mismatch");
+        let n = self.words();
+        if n == 0 {
+            for (o, &p) in out.iter_mut().zip(pristine) {
+                *o = self.perturb_words(p, &[]);
+            }
+            return;
+        }
+        if n > SLICE_WORDS {
+            for (o, &p) in out.iter_mut().zip(pristine) {
+                *o = self.perturb(p, rng);
+            }
+            return;
+        }
+        let per_fill = SLICE_WORDS / n;
+        let mut buf = [0u32; SLICE_WORDS];
+        for (src, dst) in pristine.chunks(per_fill).zip(out.chunks_mut(per_fill)) {
+            let words = &mut buf[..src.len() * n];
+            rng.fill_u32(words);
+            for ((o, &p), w) in dst.iter_mut().zip(src).zip(words.chunks_exact(n)) {
+                *o = self.perturb_words(p, w);
+            }
+        }
+    }
 }
 
-/// One standard-normal sample via Box–Muller (object-safe RNG variant).
-pub(crate) fn normal_sample(rng: &mut dyn rand::RngCore) -> f32 {
-    standard_normal(rng)
+/// A `[0, 1)` float from one stream word: the 24 high bits, exactly as
+/// `rand`'s `gen::<f32>()` maps a `next_u32` word.
+#[inline]
+fn unit(word: u32) -> f32 {
+    (word >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
 }
 
-fn standard_normal(rng: &mut dyn rand::RngCore) -> f32 {
-    let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-    let u2: f32 = rng.gen_range(0.0..1.0);
+/// A float in `[lo, hi)` from one stream word, exactly as `rand`'s
+/// `gen_range(lo..hi)` maps a `next_u32` word.
+#[inline]
+fn uniform(lo: f32, hi: f32, word: u32) -> f32 {
+    lo + unit(word) * (hi - lo)
+}
+
+/// One standard-normal sample via Box–Muller from two stream words.
+#[inline]
+fn standard_normal(w: &[u32]) -> f32 {
+    let u1 = uniform(f32::EPSILON, 1.0, w[0]);
+    let u2 = uniform(0.0, 1.0, w[1]);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
+}
+
+/// One standard-normal sample (two words of `rng`).
+pub(crate) fn normal_sample(rng: &mut dyn RngCore) -> f32 {
+    standard_normal(&[rng.next_u32(), rng.next_u32()])
 }
 
 /// Checks that a spread-style parameter is finite and non-negative.
@@ -99,11 +193,20 @@ impl LogNormalDrift {
 }
 
 impl DriftModel for LogNormalDrift {
-    fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32 {
+    fn words(&self) -> usize {
+        if self.sigma == 0.0 {
+            0
+        } else {
+            2
+        }
+    }
+
+    #[inline]
+    fn perturb_words(&self, value: f32, words: &[u32]) -> f32 {
         if self.sigma == 0.0 {
             return value;
         }
-        value * (self.sigma * standard_normal(rng)).exp()
+        value * (self.sigma * standard_normal(words)).exp()
     }
 
     fn name(&self) -> &'static str {
@@ -142,8 +245,15 @@ impl GaussianAdditive {
 }
 
 impl DriftModel for GaussianAdditive {
-    fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32 {
-        value + self.sigma * standard_normal(rng)
+    /// Two words even at σ = 0: `value + 0·ε` is kept (it maps `-0.0` to
+    /// `+0.0` for some draws), and with it the stream position.
+    fn words(&self) -> usize {
+        2
+    }
+
+    #[inline]
+    fn perturb_words(&self, value: f32, words: &[u32]) -> f32 {
+        value + self.sigma * standard_normal(words)
     }
 
     fn name(&self) -> &'static str {
@@ -182,11 +292,16 @@ impl UniformDrift {
 }
 
 impl DriftModel for UniformDrift {
-    fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32 {
+    fn words(&self) -> usize {
+        usize::from(self.delta != 0.0)
+    }
+
+    #[inline]
+    fn perturb_words(&self, value: f32, words: &[u32]) -> f32 {
         if self.delta == 0.0 {
             return value;
         }
-        value * (1.0 + rng.gen_range(-self.delta..self.delta))
+        value * (1.0 + uniform(-self.delta, self.delta, words[0]))
     }
 
     fn name(&self) -> &'static str {
@@ -228,11 +343,16 @@ impl UniformAdditive {
 }
 
 impl DriftModel for UniformAdditive {
-    fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32 {
+    fn words(&self) -> usize {
+        usize::from(self.delta != 0.0)
+    }
+
+    #[inline]
+    fn perturb_words(&self, value: f32, words: &[u32]) -> f32 {
         if self.delta == 0.0 {
             return value;
         }
-        value + rng.gen_range(-self.delta..self.delta)
+        value + uniform(-self.delta, self.delta, words[0])
     }
 
     fn name(&self) -> &'static str {
@@ -275,11 +395,20 @@ impl DeviceVariation {
 }
 
 impl DriftModel for DeviceVariation {
-    fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32 {
+    fn words(&self) -> usize {
+        if self.sigma == 0.0 {
+            0
+        } else {
+            2
+        }
+    }
+
+    #[inline]
+    fn perturb_words(&self, value: f32, words: &[u32]) -> f32 {
         if self.sigma == 0.0 {
             return value;
         }
-        value * (1.0 + self.sigma * standard_normal(rng)).max(0.0)
+        value * (1.0 + self.sigma * standard_normal(words)).max(0.0)
     }
 
     fn name(&self) -> &'static str {
@@ -348,8 +477,13 @@ impl StuckAtFault {
 }
 
 impl DriftModel for StuckAtFault {
-    fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32 {
-        let u: f32 = rng.gen();
+    fn words(&self) -> usize {
+        1
+    }
+
+    #[inline]
+    fn perturb_words(&self, value: f32, words: &[u32]) -> f32 {
+        let u = unit(words[0]);
         if u < self.p_zero {
             0.0
         } else if u < self.p_zero + self.p_max {
@@ -423,14 +557,25 @@ impl BitFlipFault {
 }
 
 impl DriftModel for BitFlipFault {
-    fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32 {
+    /// One word per bit, drawn for every weight (NaN included).
+    fn words(&self) -> usize {
+        self.bits as usize
+    }
+
+    #[inline]
+    fn perturb_words(&self, value: f32, words: &[u32]) -> f32 {
+        // A NaN weight has no code to flip; it stays NaN so a diverged
+        // network is not passed off as a healthy one.
+        if value.is_nan() {
+            return value;
+        }
         let levels = (1u32 << self.bits) - 1;
         let step = 2.0 * self.range / levels as f32;
         // Quantize to an unsigned code centered at range.
         let mut code =
             (((value + self.range) / step).round() as i64).clamp(0, levels as i64) as u32;
-        for bit in 0..self.bits {
-            if rng.gen::<f32>() < self.p_flip {
+        for (bit, &w) in words[..self.bits as usize].iter().enumerate() {
+            if unit(w) < self.p_flip {
                 code ^= 1 << bit;
             }
         }
@@ -489,7 +634,12 @@ impl LevelQuantization {
 }
 
 impl DriftModel for LevelQuantization {
-    fn perturb(&self, value: f32, _rng: &mut dyn rand::RngCore) -> f32 {
+    fn words(&self) -> usize {
+        0
+    }
+
+    #[inline]
+    fn perturb_words(&self, value: f32, _words: &[u32]) -> f32 {
         let step = 2.0 * self.range / (self.levels - 1) as f32;
         let clamped = value.clamp(-self.range, self.range);
         let code = ((clamped + self.range) / step).round();
@@ -510,12 +660,15 @@ impl DriftModel for LevelQuantization {
 /// composite perturbation.
 pub struct CompositeFault {
     models: Vec<Box<dyn DriftModel>>,
+    /// Words each chained model draws per weight, in chain order.
+    words: Vec<usize>,
 }
 
 impl CompositeFault {
     /// Chains the given models; they are applied in order.
     pub fn new(models: Vec<Box<dyn DriftModel>>) -> Self {
-        CompositeFault { models }
+        let words = models.iter().map(|m| m.words()).collect();
+        CompositeFault { models, words }
     }
 
     /// The chained models, in application order.
@@ -525,8 +678,21 @@ impl CompositeFault {
 }
 
 impl DriftModel for CompositeFault {
-    fn perturb(&self, value: f32, rng: &mut dyn rand::RngCore) -> f32 {
-        self.models.iter().fold(value, |v, m| m.perturb(v, rng))
+    /// The chained models' words, one model after the other.
+    fn words(&self) -> usize {
+        self.words.iter().sum()
+    }
+
+    fn perturb_words(&self, value: f32, words: &[u32]) -> f32 {
+        let mut rest = words;
+        self.models
+            .iter()
+            .zip(&self.words)
+            .fold(value, |v, (m, &n)| {
+                let (own, tail) = rest.split_at(n);
+                rest = tail;
+                m.perturb_words(v, own)
+            })
     }
 
     fn name(&self) -> &'static str {

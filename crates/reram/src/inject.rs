@@ -235,6 +235,12 @@ impl FaultInjector {
     /// skip the per-trial restore pass entirely (one restore runs after
     /// the final trial).
     ///
+    /// The model is called once per parameter tensor, through
+    /// [`DriftModel::perturb_slice`]: the per-weight loop runs inside the
+    /// model's own code on the concrete [`ChaCha8Rng`], with no dynamic
+    /// dispatch per weight. `rng` is left where per-weight injection
+    /// would leave it, so callers can keep drawing from it.
+    ///
     /// # Errors
     ///
     /// Returns [`FaultError::SnapshotMismatch`] if `network`'s parameter
@@ -244,15 +250,12 @@ impl FaultInjector {
         snapshot: &WeightSnapshot,
         network: &mut dyn Layer,
         model: &dyn DriftModel,
-        rng: &mut dyn RngCore,
+        rng: &mut ChaCha8Rng,
     ) -> Result<(), FaultError> {
         snapshot.validate(network)?;
         let mut idx = 0usize;
         network.visit_params(&mut |p| {
-            let pristine = snapshot.values[idx].as_slice();
-            for (v, &p0) in p.value.as_mut_slice().iter_mut().zip(pristine) {
-                *v = model.perturb(p0, rng);
-            }
+            model.perturb_slice(snapshot.values[idx].as_slice(), p.value.as_mut_slice(), rng);
             idx += 1;
         });
         Ok(())

@@ -105,3 +105,121 @@ fn per_weight_perturb_matches_golden_bits_and_draws() {
         assert_eq!(tail, next_word, "{spec}: draws per weight changed");
     }
 }
+
+/// A chain that draws more words per weight than either stack buffer
+/// holds, so both provided methods take their fallback paths.
+fn long_chain() -> Box<dyn DriftModel> {
+    Box::new(reram::CompositeFault::new(
+        (0..17)
+            .map(|_| Box::new(reram::BitFlipFault::new(0.1, 16, 1.0)) as Box<dyn DriftModel>)
+            .collect(),
+    ))
+}
+
+fn all_models() -> Vec<(String, Box<dyn DriftModel>)> {
+    let mut models: Vec<_> = SPECS.iter().map(|s| (s.to_string(), build(s))).collect();
+    models.push(("17 x bitflip:0.1,16,1".into(), long_chain()));
+    models
+}
+
+/// `perturb_slice` is per-weight `perturb` over the same stream, bit for
+/// bit, and leaves the stream at the same position: for every model, on
+/// empty, single, odd and multi-buffer lengths, from aligned and
+/// mid-block starts.
+#[test]
+fn perturb_slice_equals_per_weight_perturb() {
+    let sweep = inputs();
+    for (name, model) in all_models() {
+        for len in [0usize, 1, 7, 129, 1000] {
+            for skip in [0usize, 5, 63] {
+                let pristine: Vec<f32> = sweep.iter().copied().cycle().take(len).collect();
+                let mut sliced = ChaCha8Rng::seed_from_u64(77);
+                let mut stepped = ChaCha8Rng::seed_from_u64(77);
+                for _ in 0..skip {
+                    let _ = sliced.next_u32();
+                    let _ = stepped.next_u32();
+                }
+                let mut out = vec![f32::NAN; len];
+                model.perturb_slice(&pristine, &mut out, &mut sliced);
+                let expected: Vec<u32> = pristine
+                    .iter()
+                    .map(|&w| model.perturb(w, &mut stepped).to_bits())
+                    .collect();
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, expected, "{name}: len {len} skip {skip}");
+                assert_eq!(
+                    sliced.next_u64(),
+                    stepped.next_u64(),
+                    "{name}: len {len} skip {skip}: stream position"
+                );
+            }
+        }
+    }
+}
+
+/// Counts the words a model pulls from the stream.
+struct Counting {
+    inner: ChaCha8Rng,
+    words: usize,
+}
+
+impl RngCore for Counting {
+    fn next_u32(&mut self) -> u32 {
+        self.words += 1;
+        self.inner.next_u32()
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.words += 2;
+        self.inner.next_u64()
+    }
+}
+
+/// The draw contract: every model consumes exactly `words()` stream words
+/// per weight, whatever the weight (NaN and infinities included).
+#[test]
+fn every_model_draws_exactly_its_words_per_weight() {
+    let mut values = inputs();
+    values.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+    for (name, model) in all_models() {
+        let mut rng = Counting {
+            inner: ChaCha8Rng::seed_from_u64(5),
+            words: 0,
+        };
+        for &w in &values {
+            let before = rng.words;
+            let _ = model.perturb(w, &mut rng);
+            assert_eq!(rng.words - before, model.words(), "{name} at {w}");
+        }
+    }
+}
+
+/// A NaN weight stays NaN under bit flips, on both paths, as it does
+/// under every other family: a diverged network must not read as a
+/// healthy one. The flip words are still drawn, so the stream position
+/// does not depend on the weight.
+#[test]
+fn bit_flip_propagates_nan() {
+    let model = reram::BitFlipFault::new(0.3, 8, 1.0);
+    let mut rng = ChaCha8Rng::seed_from_u64(1);
+    assert!(model.perturb(f32::NAN, &mut rng).is_nan());
+    let pristine = [0.5, f32::NAN, -0.25];
+    let mut out = [0.0f32; 3];
+    let mut sliced = ChaCha8Rng::seed_from_u64(2);
+    model.perturb_slice(&pristine, &mut out, &mut sliced);
+    assert!(out[1].is_nan(), "bitflip: NaN -> {}", out[1]);
+    let mut finite = ChaCha8Rng::seed_from_u64(2);
+    let mut finite_out = [0.0f32; 3];
+    model.perturb_slice(&[0.5, 0.0, -0.25], &mut finite_out, &mut finite);
+    assert_eq!(out[2].to_bits(), finite_out[2].to_bits());
+    assert_eq!(sliced.next_u32(), finite.next_u32());
+    for spec in [
+        "quantize:16",
+        "lognormal:0.5",
+        "stuckat:0,0,1",
+        "devvar:0.2",
+    ] {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        assert!(build(spec).perturb(f32::NAN, &mut rng).is_nan(), "{spec}");
+    }
+}

@@ -118,11 +118,17 @@ pub fn gemm_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     }
 }
 
+/// Output columns [`gemm_nt_into`] keeps in flight per row.
+const NT_COLS: usize = 4;
+
 /// `C = A·Bᵀ` on raw row-major slices: `[m, k] x [n, k] -> [m, n]`.
 ///
 /// See [`gemm_into`] for zeroing and panic behaviour. Output elements are
 /// independent dot products, each with a single sequential accumulator,
-/// preserving bit-exact summation order.
+/// preserving bit-exact summation order. Four output columns of a row are
+/// accumulated side by side, so their additions overlap instead of
+/// waiting on one accumulator's add latency; each column still sums its
+/// `k` terms in order from `0.0`.
 ///
 /// Unlike the `nn`/`tn` kernels there is no zero-skip here: in this
 /// layout a skip would save one fused multiply-add (not a whole row) at
@@ -134,17 +140,36 @@ pub fn gemm_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
     assert_eq!(a.len(), m * k, "gemm_nt_into lhs length mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt_into output length mismatch");
-    c.fill(0.0);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
+    if k == 0 || n == 0 {
+        c.fill(0.0);
+        return;
+    }
+    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        let mut cgroups = crow.chunks_exact_mut(NT_COLS);
+        let mut bgroups = b.chunks_exact(NT_COLS * k);
+        for (cg, bg) in (&mut cgroups).zip(&mut bgroups) {
+            let (b0, rest) = bg.split_at(k);
+            let (b1, rest) = rest.split_at(k);
+            let (b2, b3) = rest.split_at(k);
+            let mut acc = [0.0f32; NT_COLS];
+            for ((((&av, &x0), &x1), &x2), &x3) in arow.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+                acc[0] += av * x0;
+                acc[1] += av * x1;
+                acc[2] += av * x2;
+                acc[3] += av * x3;
+            }
+            cg.copy_from_slice(&acc);
+        }
+        for (cv, brow) in cgroups
+            .into_remainder()
+            .iter_mut()
+            .zip(bgroups.remainder().chunks_exact(k))
+        {
             let mut acc = 0.0f32;
             for (&av, &bv) in arow.iter().zip(brow) {
                 acc += av * bv;
             }
-            crow[j] = acc;
+            *cv = acc;
         }
     }
 }
@@ -541,6 +566,45 @@ mod tests {
         let mut c = vec![f32::NAN; 8];
         gemm_into(&a, &b, &mut c, 4, 2, 2);
         assert_eq!(c, a);
+    }
+
+    /// The column-grouped `gemm_nt_into` equals one sequential
+    /// accumulator per output element, bit for bit, on every remainder
+    /// width and on empty dimensions, with signed zeros and non-finite
+    /// operands in the mix.
+    #[test]
+    fn gemm_nt_matches_single_accumulator_reference() {
+        let value = |i: usize| match i % 11 {
+            0 => -0.0,
+            5 => (i as f32 * 0.37).sin() * 1e30,
+            _ => (i as f32 * 0.731).sin(),
+        };
+        for m in [0usize, 1, 3] {
+            for k in [0usize, 1, 3, 17] {
+                for n in 0..=9 {
+                    let a: Vec<f32> = (0..m * k).map(value).collect();
+                    let mut b: Vec<f32> = (0..n * k).map(|i| value(i + 7)).collect();
+                    if n * k > 4 {
+                        b[4] = f32::INFINITY;
+                    }
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_nt_into(&a, &b, &mut c, m, k, n);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let mut acc = 0.0f32;
+                            for kk in 0..k {
+                                acc += a[i * k + kk] * b[j * k + kk];
+                            }
+                            assert_eq!(
+                                c[i * n + j].to_bits(),
+                                acc.to_bits(),
+                                "m {m} k {k} n {n} at ({i}, {j})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
