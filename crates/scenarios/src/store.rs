@@ -10,7 +10,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -470,26 +470,31 @@ impl ResultStore {
     /// past the bounded wait.
     pub fn drop_partial_tail(&self) -> Result<Option<String>, CampaignError> {
         let _lock = self.lock()?;
-        let bytes = match fs::read(&self.path) {
-            Ok(bytes) => bytes,
+        let mut file = match File::open(&self.path) {
+            Ok(file) => file,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        if bytes.is_empty() || bytes.ends_with(b"\n") {
+        // A clean store costs one byte of I/O, not a whole-file read.
+        let len = file.metadata()?.len();
+        if len == 0 {
             return Ok(None);
         }
-        let keep = bytes
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |pos| pos + 1);
+        let mut last = [0u8; 1];
+        file.seek(SeekFrom::End(-1))?;
+        file.read_exact(&mut last)?;
+        if last == *b"\n" {
+            return Ok(None);
+        }
+        let keep = end_of_last_line(&mut file, len)?;
         let file = OpenOptions::new().write(true).open(&self.path)?;
-        file.set_len(keep as u64)?;
+        file.set_len(keep)?;
         file.sync_all()?;
         Ok(Some(format!(
             "{}: dropped a {}-byte partial trailing line (crash artifact); the \
              interrupted scenario will be re-run",
             self.path.display(),
-            bytes.len() - keep,
+            len - keep,
         )))
     }
 
@@ -826,4 +831,22 @@ impl StoredRecord {
             raw: value,
         })
     }
+}
+
+/// The length of `file`'s prefix (of `len` bytes) up to and including
+/// its last newline, or 0 if it has none, read backwards in blocks.
+fn end_of_last_line(file: &mut File, len: u64) -> std::io::Result<u64> {
+    let mut block = [0u8; 8192];
+    let mut end = len;
+    while end > 0 {
+        let start = end.saturating_sub(block.len() as u64);
+        let chunk = &mut block[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(pos) = chunk.iter().rposition(|&b| b == b'\n') {
+            return Ok(start + pos as u64 + 1);
+        }
+        end = start;
+    }
+    Ok(0)
 }

@@ -137,6 +137,54 @@ fn drop_partial_tail_repairs_for_future_appends() {
 }
 
 #[test]
+fn drop_partial_tail_leaves_a_clean_store_byte_identical() {
+    let store = ResultStore::open(temp_path("clean"));
+    let text = format!(
+        "{}\n{}\n",
+        line("aaaa", 1, "s0", 0.5, 10.0),
+        line("bbbb", 1, "s1", 0.6, 11.0)
+    );
+    fs::write(store.path(), &text).unwrap();
+    let modified = fs::metadata(store.path()).unwrap().modified().unwrap();
+    assert!(store.drop_partial_tail().unwrap().is_none());
+    assert_eq!(fs::read(store.path()).unwrap(), text.as_bytes());
+    assert_eq!(
+        fs::metadata(store.path()).unwrap().modified().unwrap(),
+        modified,
+        "a clean store is not rewritten"
+    );
+    // An empty store is clean too.
+    fs::write(store.path(), "").unwrap();
+    assert!(store.drop_partial_tail().unwrap().is_none());
+    assert_eq!(fs::read(store.path()).unwrap(), b"");
+    let _ = fs::remove_file(store.path());
+}
+
+/// The backwards newline scan crosses read-block boundaries: a partial
+/// tail longer than one block, and a file with no newline at all.
+#[test]
+fn drop_partial_tail_finds_the_line_end_behind_a_long_tail() {
+    let store = ResultStore::open(temp_path("longtail"));
+    let good = line("aaaa", 1, "s0", 0.5, 10.0);
+    let tail = format!("{{\"scenario\":\"{}", "x".repeat(20_000));
+    fs::write(store.path(), format!("{good}\n{tail}")).unwrap();
+    let dropped = store.drop_partial_tail().unwrap().unwrap();
+    assert!(
+        dropped.contains(&format!("{}-byte", tail.len())),
+        "{dropped}"
+    );
+    assert_eq!(
+        fs::read(store.path()).unwrap(),
+        format!("{good}\n").as_bytes()
+    );
+
+    fs::write(store.path(), "y".repeat(9_000)).unwrap();
+    assert!(store.drop_partial_tail().unwrap().is_some());
+    assert_eq!(fs::read(store.path()).unwrap(), b"");
+    let _ = fs::remove_file(store.path());
+}
+
+#[test]
 fn compact_dedups_by_digest_seed_keeping_latest_in_first_position() {
     let store = ResultStore::open(temp_path("dedup"));
     let text = format!(
