@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the performance-critical kernels under
-//! every figure: drift injection, the fused Monte-Carlo trial hot path
+//! every figure: drift injection (per fault family, in ns/weight, and the
+//! ChaCha keystream in ns/word), the fused Monte-Carlo trial hot path
 //! (latency *and* bytes allocated), Monte-Carlo objective evaluation,
 //! GP fit + suggest, convolution forward/backward, and matmul kernels.
 //!
@@ -82,6 +83,53 @@ fn bench_drift_injection(c: &mut Criterion) {
         snapshot.restore_into(&mut net).unwrap();
     }
     group.finish();
+}
+
+/// Median wall-clock nanoseconds of `reps` calls of `f`.
+fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            f();
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[reps / 2]
+}
+
+/// Injection cost per weight of each fault mix of the `campaign-mc`
+/// benchmark workload, and the raw keystream cost per word, as medians.
+fn bench_inject_family(_c: &mut Criterion) {
+    const SPECS: [&str; 6] = [
+        "lognormal:0.6",
+        "stuckat:0.05,0.02,2",
+        "bitflip:0.002",
+        "quantize:16+lognormal:0.4+devvar:0.1",
+        "gaussian:0.15",
+        "uniformread:0.1",
+    ];
+    let reps = samples(101);
+    let mut rng = ChaCha8Rng::seed_from_u64(0);
+    let mut net = Mlp::new(&MlpConfig::new(196, 10).depth(3).hidden(64), &mut rng);
+    let snapshot = FaultInjector::snapshot(&mut net);
+    let weights = snapshot.scalar_count() as f64;
+    for spec in SPECS {
+        let model = spec
+            .parse::<reram::FaultSpec>()
+            .and_then(|s| s.build())
+            .expect("campaign-mc fault specs are valid");
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let ns = median_ns(reps, || {
+            FaultInjector::inject_from(&snapshot, &mut net, model.as_ref(), &mut rng).unwrap();
+        });
+        record_metric(format!("inject_family/{spec}"), ns / weights, "ns/weight");
+    }
+    snapshot.restore_into(&mut net).unwrap();
+
+    let mut words = vec![0u32; 4096];
+    let ns = median_ns(reps, || rng.fill_u32(std::hint::black_box(&mut words)));
+    record_metric("chacha_fill_u32", ns / words.len() as f64, "ns/word");
 }
 
 /// The steady-state Monte-Carlo trial (the paper's Eq. 4 inner loop):
@@ -456,6 +504,7 @@ fn bench_telemetry(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_drift_injection,
+    bench_inject_family,
     bench_mc_trial,
     bench_train_step,
     bench_mc_objective,
