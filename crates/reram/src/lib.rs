@@ -13,6 +13,8 @@
 //!   ([`StuckAtFault`]), digital bit flips ([`BitFlipFault`]), discrete
 //!   conductance-level quantization ([`LevelQuantization`]), and
 //!   deterministic chains of any of these ([`CompositeFault`]).
+//!   Each model draws a fixed number of stream words per weight, so a
+//!   whole tensor is perturbed in one [`DriftModel::perturb_slice`] call.
 //! * [`FaultSpec`] — a textual/serializable spec grammar
 //!   (`lognormal:0.3`, `quantize:16+stuckat:0.01`) shared by CLIs and JSON
 //!   configs, with `FromStr`/`Display` round-tripping and validated
