@@ -31,7 +31,7 @@ const SLICE_WORDS: usize = 256;
 /// one virtual `perturb_slice` call per tensor. As a provided method it is
 /// compiled once per model type, so its inner loop calls that model's
 /// `perturb_words` directly, fed from block fills of the concrete
-/// [`ChaCha8Rng`]: the RNG is no longer dynamic there.
+/// [`ChaCha8Rng`]: neither the model nor the RNG is dynamic per weight.
 pub trait DriftModel: Send + Sync {
     /// How many `u32` stream words this model draws per weight.
     fn words(&self) -> usize;
