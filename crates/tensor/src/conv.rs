@@ -288,6 +288,84 @@ mod tests {
         assert_eq!(dst, reference.as_slice());
     }
 
+    /// Element-at-a-time lowering in the `(c, ky, kx, oy, ox)` order:
+    /// `im2col` when `scatter` is false, `col2im` (accumulating from zero)
+    /// when it is true.
+    fn lower_reference(
+        src: &[f32],
+        dst: &mut [f32],
+        spec: &Conv2dSpec,
+        h: usize,
+        w: usize,
+        scatter: bool,
+    ) {
+        let (oh, ow) = spec.output_hw(h, w);
+        let k = spec.kernel;
+        dst.fill(0.0);
+        for c in 0..spec.in_channels {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let row = (c * k + ky) * k + kx;
+                    for oy in 0..oh {
+                        for ox in 0..ow {
+                            let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
+                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
+                            if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
+                                continue;
+                            }
+                            let pixel = (c * h + iy as usize) * w + ix as usize;
+                            let patch = row * oh * ow + oy * ow + ox;
+                            if scatter {
+                                dst[pixel] += src[patch];
+                            } else {
+                                dst[patch] = src[pixel];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Both lowerings equal the element-at-a-time reference bit for bit
+    /// over strides, paddings, kernels and non-square images, and fully
+    /// overwrite NaN-filled destinations.
+    #[test]
+    fn lowering_matches_elementwise_reference() {
+        let value = |i: usize| match i % 7 {
+            0 => -0.0,
+            _ => (i as f32 * 0.613).sin() * 3.0,
+        };
+        for stride in [1usize, 2] {
+            for padding in [0usize, 1, 2] {
+                for kernel in [1usize, 3, 5] {
+                    for (h, w) in [(5usize, 7usize), (8, 5), (6, 11)] {
+                        let spec = Conv2dSpec::new(2, 3, kernel, stride, padding);
+                        let (oh, ow) = spec.output_hw(h, w);
+                        let image: Vec<f32> = (0..2 * h * w).map(value).collect();
+                        let patches: Vec<f32> = (0..spec.patch_len() * oh * ow)
+                            .map(|i| value(i + 3))
+                            .collect();
+                        let case = format!("stride {stride} pad {padding} k {kernel} {h}x{w}");
+
+                        let mut col = vec![f32::NAN; patches.len()];
+                        let mut expected = vec![0.0; patches.len()];
+                        im2col_into(&image, &mut col, &spec, h, w);
+                        lower_reference(&image, &mut expected, &spec, h, w, false);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&col), bits(&expected), "im2col {case}");
+
+                        let mut grad = vec![f32::NAN; image.len()];
+                        let mut expected = vec![0.0; image.len()];
+                        col2im_into(&patches, &mut grad, &spec, h, w);
+                        lower_reference(&patches, &mut expected, &spec, h, w, true);
+                        assert_eq!(bits(&grad), bits(&expected), "col2im {case}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn col2im_is_adjoint_of_im2col() {
         // <im2col(x), y> == <x, col2im(y)> for random-ish x, y.

@@ -568,37 +568,70 @@ mod tests {
         assert_eq!(c, a);
     }
 
-    /// The column-grouped `gemm_nt_into` equals one sequential
-    /// accumulator per output element, bit for bit, on every remainder
-    /// width and on empty dimensions, with signed zeros and non-finite
-    /// operands in the mix.
+    /// Register-tile rows and columns the reference test straddles.
+    const MR: usize = 4;
+    const NR: usize = 8;
+
+    /// Same bits, or NaN on both sides: which NaN payload survives an add
+    /// of two NaNs depends on operand order, which IEEE leaves open.
+    fn same(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// Every variant equals one sequential accumulator per output element,
+    /// started at `+0.0`, bit for bit: on every row and column remainder
+    /// of the register tile, on empty dimensions, with signed zeros, huge
+    /// and non-finite operands, and a third of the left operand exactly
+    /// zero (the post-ReLU case).
     #[test]
-    fn gemm_nt_matches_single_accumulator_reference() {
+    fn gemm_variants_match_single_accumulator_reference() {
         let value = |i: usize| match i % 11 {
             0 => -0.0,
             5 => (i as f32 * 0.37).sin() * 1e30,
             _ => (i as f32 * 0.731).sin(),
         };
-        for m in [0usize, 1, 3] {
-            for k in [0usize, 1, 3, 17] {
-                for n in 0..=9 {
-                    let a: Vec<f32> = (0..m * k).map(value).collect();
-                    let mut b: Vec<f32> = (0..n * k).map(|i| value(i + 7)).collect();
-                    if n * k > 4 {
+        let lhs = |i: usize| if i % 3 == 1 { 0.0 } else { value(i) };
+        for m in 0..=MR + 1 {
+            for k in [0usize, 1, 3, 17, 150] {
+                for n in 0..=2 * NR + 1 {
+                    // Logical operands: a is [m, k], b is [k, n].
+                    let a: Vec<f32> = (0..m * k).map(lhs).collect();
+                    let mut b: Vec<f32> = (0..k * n).map(|i| value(i + 7)).collect();
+                    if k * n > 4 {
                         b[4] = f32::INFINITY;
                     }
-                    let mut c = vec![f32::NAN; m * n];
-                    gemm_nt_into(&a, &b, &mut c, m, k, n);
+                    if k * n > 9 {
+                        b[k * n - 9] = f32::NAN;
+                    }
+                    if k * n > 13 {
+                        b[13] = f32::NEG_INFINITY;
+                    }
+                    let at: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
+                    let bt: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+                    let mut reference = vec![0.0f32; m * n];
                     for i in 0..m {
                         for j in 0..n {
                             let mut acc = 0.0f32;
                             for kk in 0..k {
-                                acc += a[i * k + kk] * b[j * k + kk];
+                                acc += a[i * k + kk] * b[kk * n + j];
                             }
-                            assert_eq!(
-                                c[i * n + j].to_bits(),
-                                acc.to_bits(),
-                                "m {m} k {k} n {n} at ({i}, {j})"
+                            reference[i * n + j] = acc;
+                        }
+                    }
+                    let mut c = vec![f32::NAN; m * n];
+                    for variant in ["nn", "tn", "nt"] {
+                        c.fill(f32::NAN);
+                        match variant {
+                            "nn" => gemm_into(&a, &b, &mut c, m, k, n),
+                            "tn" => gemm_tn_into(&at, &b, &mut c, m, k, n),
+                            _ => gemm_nt_into(&a, &bt, &mut c, m, k, n),
+                        }
+                        for (e, (&x, &y)) in c.iter().zip(&reference).enumerate() {
+                            assert!(
+                                same(x, y),
+                                "{variant} m {m} k {k} n {n} at ({}, {}): {x} vs {y}",
+                                e / n,
+                                e % n
                             );
                         }
                     }
