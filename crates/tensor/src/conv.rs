@@ -80,6 +80,23 @@ impl Conv2dSpec {
     pub fn patch_len(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
     }
+
+    /// Outputs `[lo, hi)` along one axis whose tap at kernel offset `tap`
+    /// lands inside an input of length `len` (`out` outputs in all): the
+    /// rest read padding.
+    fn valid_outputs(&self, tap: usize, len: usize, out: usize) -> (usize, usize) {
+        let (s, p) = (self.stride, self.padding);
+        let (first, last) = (p.saturating_sub(tap), (len + p).saturating_sub(tap + 1));
+        // Stride 1, the common case, needs no division.
+        let (lo, hi) = if s == 1 {
+            (first, last + 1)
+        } else {
+            (first.div_ceil(s), last / s + 1)
+        };
+        let lo = lo.min(out);
+        let hi = if len + p > tap { hi.min(out) } else { 0 };
+        (lo, hi.max(lo))
+    }
 }
 
 /// Lowers one `[C, H, W]` image to a `[C·kh·kw, OH·OW]` patch matrix.
@@ -122,24 +139,30 @@ pub fn im2col_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, h: usize, w:
         spec.patch_len() * oh * ow,
         "im2col_into output length mismatch"
     );
-    dst.fill(0.0);
-    let ncols = oh * ow;
-    for c in 0..spec.in_channels {
+    let (ncols, s) = (oh * ow, spec.stride);
+    for (c, plane) in src.chunks_exact(h * w).enumerate() {
         for ky in 0..k {
+            let rows = spec.valid_outputs(ky, h, oh);
             for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
+                let (ox0, ox1) = spec.valid_outputs(kx, w, ow);
+                // A tap column that only ever reads padding reads no row.
+                let (oy0, oy1) = if ox0 < ox1 { rows } else { (0, 0) };
+                let row = &mut dst[((c * k + ky) * k + kx) * ncols..][..ncols];
+                // Zero the whole row once if this tap reads any padding.
+                if (oy0, oy1, ox0, ox1) != (0, oh, 0, ow) {
+                    row.fill(0.0);
+                }
+                for (oy, out) in row.chunks_exact_mut(ow).enumerate().take(oy1).skip(oy0) {
+                    let iy = oy * s + ky - spec.padding;
+                    let ix0 = ox0 * s + kx - spec.padding;
+                    let taps = &plane[iy * w + ix0..(iy + 1) * w];
+                    let out = &mut out[ox0..ox1];
+                    if s == 1 {
+                        out.copy_from_slice(&taps[..out.len()]);
+                    } else {
+                        for (o, &v) in out.iter_mut().zip(taps.iter().step_by(s)) {
+                            *o = v;
                         }
-                        dst[row * ncols + oy * ow + ox] =
-                            src[(c * h + iy as usize) * w + ix as usize];
                     }
                 }
             }
@@ -194,23 +217,28 @@ pub fn col2im_into(src: &[f32], dst: &mut [f32], spec: &Conv2dSpec, h: usize, w:
         "col2im_into image length mismatch"
     );
     dst.fill(0.0);
-    let ncols = oh * ow;
-    for c in 0..spec.in_channels {
+    let (ncols, s) = (oh * ow, spec.stride);
+    for (c, plane) in dst.chunks_exact_mut(h * w).enumerate() {
         for ky in 0..k {
+            let rows = spec.valid_outputs(ky, h, oh);
             for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
+                let (ox0, ox1) = spec.valid_outputs(kx, w, ow);
+                // A tap column that only ever reads padding reads no row.
+                let (oy0, oy1) = if ox0 < ox1 { rows } else { (0, 0) };
+                let row = &src[((c * k + ky) * k + kx) * ncols..][..ncols];
+                for (oy, grads) in row.chunks_exact(ow).enumerate().take(oy1).skip(oy0) {
+                    let iy = oy * s + ky - spec.padding;
+                    let ix0 = ox0 * s + kx - spec.padding;
+                    let taps = &mut plane[iy * w + ix0..(iy + 1) * w];
+                    let grads = &grads[ox0..ox1];
+                    if s == 1 {
+                        for (t, &g) in taps.iter_mut().zip(grads) {
+                            *t += g;
                         }
-                        dst[(c * h + iy as usize) * w + ix as usize] +=
-                            src[row * ncols + oy * ow + ox];
+                    } else {
+                        for (t, &g) in taps.iter_mut().step_by(s).zip(grads) {
+                            *t += g;
+                        }
                     }
                 }
             }
@@ -339,7 +367,10 @@ mod tests {
         for stride in [1usize, 2] {
             for padding in [0usize, 1, 2] {
                 for kernel in [1usize, 3, 5] {
-                    for (h, w) in [(5usize, 7usize), (8, 5), (6, 11)] {
+                    for (h, w) in [(5usize, 7usize), (8, 5), (6, 11), (1, 2), (3, 1)] {
+                        if h.min(w) + 2 * padding < kernel {
+                            continue;
+                        }
                         let spec = Conv2dSpec::new(2, 3, kernel, stride, padding);
                         let (oh, ow) = spec.output_hw(h, w);
                         let image: Vec<f32> = (0..2 * h * w).map(value).collect();

@@ -2,74 +2,130 @@
 //! backpropagation and the allocation-free `_into` variants used by the
 //! Monte-Carlo evaluation hot path.
 //!
-//! All variants share the same blocked microkernels, so an `_into` product
-//! is bit-identical to its allocating twin. Each output element accumulates
-//! its `k` terms in the same (sequential) order in every variant and in the
-//! unrolled and scalar tails alike — blocking only changes *which* elements
-//! are in flight, never the order of additions within one element — so
-//! results are reproducible down to the last ULP regardless of entry point.
+//! Every product is computed in register tiles: up to `MR` rows × `NR`
+//! columns of `C` (4 columns for `A·Bᵀ`) sit in local accumulators while
+//! `k` runs innermost, so a tile's partial sums never travel through
+//! memory (Goto & van de Geijn, "Anatomy of High-Performance Matrix
+//! Multiplication", ACM TOMS 2008). `A·B` and `Aᵀ·B` are one kernel that
+//! reads `A` through (row, column) strides. Narrow remainders get 4-, 2-
+//! and 1-column tiles, so a 9-column output is an 8-wide tile plus a
+//! 1-wide one, each with a tile's worth of independent accumulators.
+//!
+//! Tiling only changes which elements are in flight, never the order of
+//! additions within one element: each output sums its `k` terms in order
+//! from `+0.0`, a multiply then an add (no fused multiply-add). So every
+//! entry point agrees with a single sequential accumulator, bit for bit,
+//! and an `_into` product is bit-identical to its allocating twin. No
+//! term is skipped: `0 · NaN` and `0 · ∞` are NaN in every variant. (A
+//! zero term is exact to skip when the other factor is finite — a sum
+//! started at `+0.0` never becomes `-0.0` — but in a register tile the
+//! test costs more than the multiply-add it saves.)
 
 use crate::Tensor;
 
-/// Inner-loop unroll width of the matmul microkernels.
-const UNROLL: usize = 8;
+/// Rows of C one register tile holds (`for_each_tile!` matches on 1..=4).
+const MR: usize = 4;
+/// Columns of C one `nn`/`tn` register tile holds.
+const NR: usize = 8;
+/// Columns of C one `nt` register tile holds.
+const NT_COLS: usize = 4;
 
-/// Whether skipping `a == 0.0` terms is numerically transparent.
-///
-/// IEEE-754 addition of `±0.0 · b` to a partial sum is a no-op only when
-/// `b` is finite (and the partial sum is not `-0.0`, which row-major
-/// accumulation from a `+0.0` start never produces). When `b` contains a
-/// NaN or ±∞, `0.0 · b` is NaN and **must** be propagated — a zeroed
-/// weight or activation would otherwise mask a non-finite operand, hiding
-/// e.g. an overflowing activation under stuck-at-zero faults. The skip is
-/// therefore enabled only when every element of `b` is finite.
-///
-/// The O(len) scan is evaluated lazily via [`ZeroSkip`] — a product with
-/// a zero-free left operand never pays for it.
+/// Counts the call in the kernel telemetry: `2·m·k·n` floating-point
+/// operations (one multiply and one add per term).
 #[inline]
-fn zero_skip_is_safe(b: &[f32]) -> bool {
-    b.iter().all(|v| v.is_finite())
+fn count_flops(m: usize, k: usize, n: usize) {
+    telemetry::static_counter!("tensor_gemm_flops_total").add((2 * m * k * n) as u64);
 }
 
-/// Lazily memoized [`zero_skip_is_safe`] verdict for one kernel call.
-#[derive(Default)]
-struct ZeroSkip(Option<bool>);
+/// Runs `tile::<R, W>(i0, j0)` over an `m × n` output with `R ≤ MR` rows
+/// and `W ∈ {wide, 4, 2, 1}` columns, so a narrow remainder still keeps a
+/// whole tile of independent accumulators in flight.
+macro_rules! for_each_tile {
+    ($m:expr, $n:expr, $wide:expr, $tile:ident($($arg:expr),*)) => {{
+        let (m, n) = ($m, $n);
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = (m - i0).min(MR);
+            match rows {
+                4 => for_each_tile!(@cols 4, i0, n, $wide, $tile($($arg),*)),
+                3 => for_each_tile!(@cols 3, i0, n, $wide, $tile($($arg),*)),
+                2 => for_each_tile!(@cols 2, i0, n, $wide, $tile($($arg),*)),
+                _ => for_each_tile!(@cols 1, i0, n, $wide, $tile($($arg),*)),
+            }
+            i0 += rows;
+        }
+    }};
+    (@cols $r:literal, $i0:expr, $n:expr, $wide:expr, $tile:ident($($arg:expr),*)) => {{
+        let mut j0 = 0;
+        while j0 + $wide <= $n {
+            $tile::<$r, { $wide }>($($arg,)* $i0, j0);
+            j0 += $wide;
+        }
+        if $wide > 4 && j0 + 4 <= $n {
+            $tile::<$r, 4>($($arg,)* $i0, j0);
+            j0 += 4;
+        }
+        if j0 + 2 <= $n {
+            $tile::<$r, 2>($($arg,)* $i0, j0);
+            j0 += 2;
+        }
+        if j0 < $n {
+            $tile::<$r, 1>($($arg,)* $i0, j0);
+        }
+    }};
+}
 
-impl ZeroSkip {
-    /// Whether the zero-skip may fire, scanning `b` on first use only.
-    #[inline]
-    fn allowed(&mut self, b: &[f32]) -> bool {
-        *self.0.get_or_insert_with(|| zero_skip_is_safe(b))
+/// One `R × W` tile of `C = op(A)·B`, where element `(i, kk)` of `op(A)`
+/// is `a[i·rs + kk·cs]` and `B` is row-major `[k, n]`.
+///
+/// The tile lives in local accumulators with `k` innermost; each element
+/// sums its `k` terms in order from `+0.0`, a multiply then an add.
+#[inline(always)]
+fn strided_tile<const R: usize, const W: usize>(
+    a: &[f32],
+    (rs, cs): (usize, usize),
+    b: &[f32],
+    c: &mut [f32],
+    n: usize,
+    i0: usize,
+    j0: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (kk, brow) in b.chunks_exact(n).enumerate() {
+        let bv: &[f32; W] = brow[j0..j0 + W].try_into().expect("tile fits the row");
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = a[(i0 + r) * rs + kk * cs];
+            for (x, &y) in row.iter_mut().zip(bv) {
+                *x += av * y;
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        c[(i0 + r) * n + j0..][..W].copy_from_slice(row);
     }
 }
 
-/// `c[i·n + j] += s · b[j]`, 8-wide unrolled.
-///
-/// Each `c[j]` receives exactly one fused term per call, so per-element
-/// accumulation order is identical to the scalar loop.
-#[inline]
-fn axpy_row(s: f32, b: &[f32], c: &mut [f32]) {
-    let mut cc = c.chunks_exact_mut(UNROLL);
-    let mut bc = b.chunks_exact(UNROLL);
-    for (cv, bv) in (&mut cc).zip(&mut bc) {
-        cv[0] += s * bv[0];
-        cv[1] += s * bv[1];
-        cv[2] += s * bv[2];
-        cv[3] += s * bv[3];
-        cv[4] += s * bv[4];
-        cv[5] += s * bv[5];
-        cv[6] += s * bv[6];
-        cv[7] += s * bv[7];
+/// `C = op(A)·B` through [`strided_tile`]: the kernel behind both
+/// [`gemm_into`] (`op(A) = A`) and [`gemm_tn_into`] (`op(A) = Aᵀ`).
+fn gemm_strided(
+    a: &[f32],
+    strides: (usize, usize),
+    b: &[f32],
+    c: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+) {
+    count_flops(m, k, n);
+    // `chunks_exact(0)` panics, and an empty `C` has nothing to write.
+    if n == 0 {
+        return;
     }
-    for (cv, &bv) in cc.into_remainder().iter_mut().zip(bc.remainder()) {
-        *cv += s * bv;
-    }
+    for_each_tile!(m, n, NR, strided_tile(a, strides, b, c, n));
 }
 
 /// `C = A·B` on raw row-major slices: `[m, k] x [k, n] -> [m, n]`.
 ///
-/// `c` is zeroed before accumulation, so recycled scratch buffers can be
-/// passed directly. This is the kernel behind both [`Matmul::matmul`] and
+/// `c` is fully overwritten, so recycled scratch buffers can be passed
+/// directly. This is the kernel behind both [`Matmul::matmul`] and
 /// [`Matmul::matmul_into`]; layers that need to run on reshaped views
 /// (e.g. a dense layer folding `[N, ...]` input to `[N, features]`) can
 /// call it without materializing a rank-2 tensor.
@@ -82,96 +138,61 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
     assert_eq!(a.len(), m * k, "gemm_into lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_into output length mismatch");
-    c.fill(0.0);
-    let mut skip = ZeroSkip::default();
-    // i-k-j ordering keeps the inner loop streaming over contiguous rows.
-    for i in 0..m {
-        for kk in 0..k {
-            let aik = a[i * k + kk];
-            if aik == 0.0 && skip.allowed(b) {
-                continue;
-            }
-            axpy_row(aik, &b[kk * n..(kk + 1) * n], &mut c[i * n..(i + 1) * n]);
-        }
-    }
+    gemm_strided(a, (k, 1), b, c, (m, k, n));
 }
 
 /// `C = Aᵀ·B` on raw row-major slices: `[k, m] x [k, n] -> [m, n]`.
 ///
-/// See [`gemm_into`] for zeroing and panic behaviour.
+/// See [`gemm_into`] for overwriting and panic behaviour.
 pub fn gemm_tn_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_gemm_seconds"));
     assert_eq!(a.len(), k * m, "gemm_tn_into lhs length mismatch");
     assert_eq!(b.len(), k * n, "gemm_tn_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_tn_into output length mismatch");
-    c.fill(0.0);
-    let mut skip = ZeroSkip::default();
+    gemm_strided(a, (1, m), b, c, (m, k, n));
+}
+
+/// One `R × W` tile of `C = A·Bᵀ`: `R` rows of `A` against `W` rows of
+/// `B`, both contiguous in `k`, with the same per-element order as
+/// [`strided_tile`].
+#[inline(always)]
+fn nt_tile<const R: usize, const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    (k, n): (usize, usize),
+    i0: usize,
+    j0: usize,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+    let brows: [&[f32]; W] = std::array::from_fn(|j| &b[(j0 + j) * k..][..k]);
+    let mut acc = [[0.0f32; W]; R];
     for kk in 0..k {
-        let arow = &a[kk * m..(kk + 1) * m];
-        let brow = &b[kk * n..(kk + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 && skip.allowed(b) {
-                continue;
+        let bv: [f32; W] = std::array::from_fn(|j| brows[j][kk]);
+        for (row, arow) in acc.iter_mut().zip(&arows) {
+            let av = arow[kk];
+            for (x, &y) in row.iter_mut().zip(&bv) {
+                *x += av * y;
             }
-            axpy_row(av, brow, &mut c[i * n..(i + 1) * n]);
         }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        c[(i0 + r) * n + j0..][..W].copy_from_slice(row);
     }
 }
 
-/// Output columns [`gemm_nt_into`] keeps in flight per row.
-const NT_COLS: usize = 4;
-
 /// `C = A·Bᵀ` on raw row-major slices: `[m, k] x [n, k] -> [m, n]`.
 ///
-/// See [`gemm_into`] for zeroing and panic behaviour. Output elements are
-/// independent dot products, each with a single sequential accumulator,
-/// preserving bit-exact summation order. Four output columns of a row are
-/// accumulated side by side, so their additions overlap instead of
-/// waiting on one accumulator's add latency; each column still sums its
-/// `k` terms in order from `0.0`.
-///
-/// Unlike the `nn`/`tn` kernels there is no zero-skip here: in this
-/// layout a skip would save one fused multiply-add (not a whole row) at
-/// the price of a compare in the innermost loop of every dense product.
-/// The variants still agree bitwise — the `nn`/`tn` skip only fires when
-/// it is numerically transparent.
+/// See [`gemm_into`] for overwriting and panic behaviour. Output elements
+/// are dot products of rows; a tile of `MR` rows × [`NT_COLS`] columns
+/// shares each loaded term across the tile.
 pub fn gemm_nt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     let _t = telemetry::Timer::start(telemetry::duration_histogram!("tensor_gemm_seconds"));
     assert_eq!(a.len(), m * k, "gemm_nt_into lhs length mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt_into rhs length mismatch");
     assert_eq!(c.len(), m * n, "gemm_nt_into output length mismatch");
-    if k == 0 || n == 0 {
-        c.fill(0.0);
-        return;
-    }
-    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
-        let mut cgroups = crow.chunks_exact_mut(NT_COLS);
-        let mut bgroups = b.chunks_exact(NT_COLS * k);
-        for (cg, bg) in (&mut cgroups).zip(&mut bgroups) {
-            let (b0, rest) = bg.split_at(k);
-            let (b1, rest) = rest.split_at(k);
-            let (b2, b3) = rest.split_at(k);
-            let mut acc = [0.0f32; NT_COLS];
-            for ((((&av, &x0), &x1), &x2), &x3) in arow.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
-                acc[0] += av * x0;
-                acc[1] += av * x1;
-                acc[2] += av * x2;
-                acc[3] += av * x3;
-            }
-            cg.copy_from_slice(&acc);
-        }
-        for (cv, brow) in cgroups
-            .into_remainder()
-            .iter_mut()
-            .zip(bgroups.remainder().chunks_exact(k))
-        {
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                acc += av * bv;
-            }
-            *cv = acc;
-        }
-    }
+    count_flops(m, k, n);
+    for_each_tile!(m, n, NT_COLS, nt_tile(a, b, c, (k, n)));
 }
 
 /// Matrix-product operations on rank-2 tensors.
@@ -567,10 +588,6 @@ mod tests {
         gemm_into(&a, &b, &mut c, 4, 2, 2);
         assert_eq!(c, a);
     }
-
-    /// Register-tile rows and columns the reference test straddles.
-    const MR: usize = 4;
-    const NR: usize = 8;
 
     /// Same bits, or NaN on both sides: which NaN payload survives an add
     /// of two NaNs depends on operand order, which IEEE leaves open.
