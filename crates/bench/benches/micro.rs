@@ -2,7 +2,9 @@
 //! every figure: drift injection (per fault family, in ns/weight, and the
 //! ChaCha keystream in ns/word), the fused Monte-Carlo trial hot path
 //! (latency *and* bytes allocated), Monte-Carlo objective evaluation,
-//! GP fit + suggest, convolution forward/backward, and matmul kernels.
+//! GP fit + suggest, convolution forward/backward, and matmul kernels
+//! (square, and GFLOP/s at every shape LeNet-5 and the digits MLP train
+//! with, next to the conv lowerings in ns per call).
 //!
 //! Set `BENCH_QUICK=1` for CI-sized sample counts, and `CRITERION_JSON=
 //! path.json` to dump every measurement (including the bytes-allocated
@@ -372,8 +374,8 @@ fn bench_matmul(c: &mut Criterion) {
             b.iter(|| a.matmul_into(&b_mat, &mut out))
         });
     }
-    // Sparse lhs: the finite-gated zero-skip at work (stuck-at-0 faults
-    // and post-ReLU activations look like this).
+    // Sparse lhs (stuck-at-0 faults and post-ReLU activations look like
+    // this): costs what the dense product costs, as no term is skipped.
     let n = 128;
     let a_sparse = Tensor::from_vec(
         (0..n * n)
@@ -394,6 +396,86 @@ fn bench_matmul(c: &mut Criterion) {
         b.iter(|| a_sparse.matmul_into(&b_mat, &mut out))
     });
     group.finish();
+}
+
+/// `(model, layer, variant, m, k, n)` of every product one training step
+/// of LeNet-5 on 14×14 digits (per sample for the convolutions, batch 32
+/// for the dense head) and of the runner's digits MLP (196→32→32→10,
+/// batch 32) runs: forward `nn`, weight-gradient `nt`/`tn` and
+/// input-gradient `tn`/`nt`.
+const GEMM_SHAPES: [(&str, &str, &str, usize, usize, usize); 21] = [
+    ("lenet5", "conv1", "nn", 6, 25, 196),
+    ("lenet5", "conv1", "nt", 6, 196, 25),
+    ("lenet5", "conv1", "tn", 25, 6, 196),
+    ("lenet5", "conv2", "nn", 16, 150, 9),
+    ("lenet5", "conv2", "nt", 16, 9, 150),
+    ("lenet5", "conv2", "tn", 150, 16, 9),
+    ("lenet5", "fc1", "nn", 32, 16, 48),
+    ("lenet5", "fc1", "tn", 16, 32, 48),
+    ("lenet5", "fc1", "nt", 32, 48, 16),
+    ("lenet5", "fc2", "nn", 32, 48, 10),
+    ("lenet5", "fc2", "tn", 48, 32, 10),
+    ("lenet5", "fc2", "nt", 32, 10, 48),
+    ("mlp", "fc1", "nn", 32, 196, 32),
+    ("mlp", "fc1", "tn", 196, 32, 32),
+    ("mlp", "fc1", "nt", 32, 32, 196),
+    ("mlp", "fc2", "nn", 32, 32, 32),
+    ("mlp", "fc2", "tn", 32, 32, 32),
+    ("mlp", "fc2", "nt", 32, 32, 32),
+    ("mlp", "fc3", "nn", 32, 32, 10),
+    ("mlp", "fc3", "tn", 32, 32, 10),
+    ("mlp", "fc3", "nt", 32, 10, 32),
+];
+
+/// GFLOP/s of each gemm variant at the shapes training really runs, and
+/// ns per call of the conv lowerings of LeNet-5 on 14×14 digits, as
+/// medians.
+fn bench_kernel_shapes(_c: &mut Criterion) {
+    let reps = samples(401);
+    for (model, layer, variant, m, k, n) in GEMM_SHAPES {
+        // Operand lengths: m·k and k·n in every layout.
+        let a: Vec<f32> = (0..m * k)
+            .map(|i| {
+                if i % 3 == 0 {
+                    0.0
+                } else {
+                    (i as f32 * 0.37).sin()
+                }
+            })
+            .collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.11).cos()).collect();
+        let mut c = vec![0.0f32; m * n];
+        let gemm = match variant {
+            "nn" => tensor::gemm_into,
+            "tn" => tensor::gemm_tn_into,
+            _ => tensor::gemm_nt_into,
+        };
+        let ns = median_ns(reps, || gemm(&a, &b, std::hint::black_box(&mut c), m, k, n));
+        record_metric(
+            format!("gemm_shape/{model}/{layer}/{variant}"),
+            (2 * m * k * n) as f64 / ns,
+            "GFLOP/s",
+        );
+    }
+    for (layer, spec, hw) in [
+        ("conv1", tensor::Conv2dSpec::new(1, 6, 5, 1, 2), 14),
+        ("conv2", tensor::Conv2dSpec::new(6, 16, 5, 1, 0), 7),
+    ] {
+        let (oh, ow) = spec.output_hw(hw, hw);
+        let image: Vec<f32> = (0..spec.in_channels * hw * hw)
+            .map(|i| (i as f32 * 0.21).sin())
+            .collect();
+        let mut col = vec![0.0f32; spec.patch_len() * oh * ow];
+        let ns = median_ns(reps, || {
+            tensor::im2col_into(&image, std::hint::black_box(&mut col), &spec, hw, hw)
+        });
+        record_metric(format!("im2col/{layer}"), ns, "ns/call");
+        let mut grad = vec![0.0f32; image.len()];
+        let ns = median_ns(reps, || {
+            tensor::col2im_into(&col, std::hint::black_box(&mut grad), &spec, hw, hw)
+        });
+        record_metric(format!("col2im/{layer}"), ns, "ns/call");
+    }
 }
 
 /// Campaign scheduling overhead: the same four-scenario campaign through
@@ -511,6 +593,7 @@ criterion_group!(
     bench_gp,
     bench_conv,
     bench_matmul,
+    bench_kernel_shapes,
     bench_campaign,
     bench_telemetry
 );
