@@ -475,7 +475,18 @@ fn metrics_verb_returns_a_prometheus_snapshot() {
         );
     }
     assert!(text.contains("# TYPE daemon_queue_depth gauge\n"));
-    assert!(text.contains("daemon_queue_depth 0\n"), "queue drained");
+    assert!(
+        text.contains("\ndaemon_queue_depth "),
+        "missing queue depth in:\n{text}"
+    );
+    // The gauge is process-wide, and sibling tests run daemons of their
+    // own; this daemon's drained queue is read from its own status.
+    let status = client.status(None).unwrap();
+    assert_eq!(
+        status.get("queued").and_then(Value::as_u64),
+        Some(0),
+        "queue drained: {status:?}"
+    );
     for family in [
         "daemon_job_seconds",
         "campaign_scenario_seconds",
